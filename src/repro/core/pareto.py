@@ -7,6 +7,7 @@ minimised).  Internally everything is flipped to maximisation.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Sequence
 
 import numpy as np
@@ -20,6 +21,12 @@ def _as_max(points: np.ndarray, maximize: Sequence[bool]) -> np.ndarray:
         raise ValueError(
             f"{points.shape[1]} objectives but {len(maximize)} maximize flags"
         )
+    bad = ~np.isfinite(points).all(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(
+            f"row {row} has a non-finite objective: {points[row].tolist()}"
+        )
     signs = np.where(np.asarray(maximize, dtype=bool), 1.0, -1.0)
     return points * signs
 
@@ -31,44 +38,66 @@ def dominates(a, b, maximize: Sequence[bool]) -> bool:
     return bool(np.all(av >= bv) and np.any(av > bv))
 
 
+def front_ranks(points, maximize: Sequence[bool]) -> np.ndarray:
+    """Pareto front of every point: 0 is the non-dominated set, and a point
+    of rank ``r + 1`` is dominated by some point of rank ``r``.
+
+    Duplicated points share a front (they do not dominate each other).
+    """
+    pts = _as_max(points, maximize)
+    n, m = pts.shape
+    ranks = np.empty(n, dtype=np.int64)
+    if m == 2:
+        # Visited by first objective, then second, descending, every point
+        # comes after its dominators, and an earlier point dominates it iff
+        # it is larger in (second, first) order.  Each front's last point is
+        # its largest in that order, and those keys fall from front to
+        # front, so a point joins the first front whose last key is not
+        # above its own.  Dense per-objective ranks make both keys integers.
+        xr = np.unique(pts[:, 0], return_inverse=True)[1]
+        yr = np.unique(pts[:, 1], return_inverse=True)[1]
+        order = np.argsort(-(xr * n + yr), kind="stable")
+        tails: list[int] = []  # negated key of each front's last point
+        visited = []
+        for k in (-(yr * n + xr))[order].tolist():
+            r = bisect_left(tails, k)
+            if r == len(tails):
+                tails.append(k)
+            else:
+                tails[r] = k
+            visited.append(r)
+        ranks[order] = visited
+        return ranks
+    ge = np.ones((n, n), dtype=bool)
+    gt = np.zeros((n, n), dtype=bool)
+    for col in pts.T:
+        ge &= col[:, None] >= col[None, :]
+        gt |= col[:, None] > col[None, :]
+    dom = ge & gt  # dom[i, j]: i dominates j
+    count = dom.sum(axis=0)
+    front, r = np.flatnonzero(count == 0), 0
+    while front.size:
+        ranks[front] = r
+        count -= dom[front].sum(axis=0)
+        count[front] = -1
+        front, r = np.flatnonzero(count == 0), r + 1
+    return ranks
+
+
+def non_dominated_sort(points, maximize: Sequence[bool]) -> list[np.ndarray]:
+    """Partition points into Pareto fronts (front 0 = non-dominated), each
+    as ascending indices."""
+    ranks = front_ranks(points, maximize)
+    return [np.flatnonzero(ranks == r) for r in range(ranks.max(initial=-1) + 1)]
+
+
 def pareto_front_indices(points, maximize: Sequence[bool]) -> np.ndarray:
-    """Indices of non-dominated points, sorted by the first objective.
+    """Ascending indices of the non-dominated points.
 
     Duplicated points are all kept (they dominate nobody and are dominated by
     nobody among themselves).
     """
-    pts = _as_max(points, maximize)
-    n = len(pts)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    # Sort by first objective desc, then second desc, etc. for an O(n log n)
-    # sweep in 2-D; fall back to O(n^2) for higher dimensions.
-    if pts.shape[1] == 2:
-        order = np.lexsort((-pts[:, 1], -pts[:, 0]))
-        best_second = -np.inf
-        keep = []
-        for idx in order:
-            if pts[idx, 1] > best_second:
-                keep.append(idx)
-                best_second = pts[idx, 1]
-            elif pts[idx, 1] == best_second:
-                # Equal in second objective: kept only if equal in first too
-                # (duplicate of the current frontier point).
-                if keep and np.all(pts[idx] == pts[keep[-1]]):
-                    keep.append(idx)
-        keep_arr = np.asarray(sorted(keep), dtype=np.int64)
-        return keep_arr
-    mask = np.ones(n, dtype=bool)
-    for i in range(n):
-        if not mask[i]:
-            continue
-        others = pts[mask]
-        strictly_better = np.all(others >= pts[i], axis=1) & np.any(
-            others > pts[i], axis=1
-        )
-        if strictly_better.any():
-            mask[i] = False
-    return np.nonzero(mask)[0].astype(np.int64)
+    return np.flatnonzero(front_ranks(points, maximize) == 0)
 
 
 def pareto_front(points, maximize: Sequence[bool]) -> np.ndarray:
@@ -94,8 +123,7 @@ def crowding_distance(points, maximize: Sequence[bool]) -> np.ndarray:
         span = hi - lo
         if span == 0:
             continue
-        for k in range(1, n - 1):
-            dist[order[k]] += (pts[order[k + 1], j] - pts[order[k - 1], j]) / span
+        dist[order[1:-1]] += (pts[order[2:], j] - pts[order[:-2], j]) / span
     return dist
 
 

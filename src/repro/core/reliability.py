@@ -228,6 +228,10 @@ class FaultSpec:
             )
         if not 0.0 <= self.rate <= 1.0:
             raise ValueError(f"fault rate must be in [0, 1], got {self.rate}")
+        if self.max_attempt is not None and self.max_attempt < 1:
+            raise ValueError(
+                f"fault window (@N) must be >= 1, got {self.max_attempt}"
+            )
         if self.keys is not None:
             object.__setattr__(self, "keys", frozenset(self.keys))
 

@@ -17,7 +17,7 @@ from repro.optimizers.reinforce import (
     mnas_reward,
 )
 from repro.optimizers.local_search import LocalSearch
-from repro.optimizers.nsga2 import Nsga2, non_dominated_sort
+from repro.optimizers.nsga2 import Nsga2
 from repro.optimizers.bo_nas import BoNas
 from repro.optimizers.hyperband import Hyperband
 from repro.optimizers.successive_halving import SuccessiveHalving
@@ -36,7 +36,6 @@ __all__ = [
     "Reinforce",
     "SearchResult",
     "SuccessiveHalving",
-    "non_dominated_sort",
     "mnas_reward",
     "prefetch",
 ]

@@ -12,37 +12,10 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.pareto import crowding_distance, dominates
+from repro.core.pareto import crowding_distance, front_ranks, non_dominated_sort
 from repro.optimizers.base import Optimizer, prefetch
 from repro.optimizers.reinforce import BiObjectiveResult
 from repro.searchspace.mnasnet import ArchSpec
-
-
-def non_dominated_sort(points: np.ndarray, maximize) -> list[np.ndarray]:
-    """Partition points into Pareto fronts (front 0 = non-dominated)."""
-    n = len(points)
-    dominated_by: list[list[int]] = [[] for _ in range(n)]
-    domination_count = np.zeros(n, dtype=int)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if dominates(points[i], points[j], maximize):
-                dominated_by[i].append(j)
-            elif dominates(points[j], points[i], maximize):
-                domination_count[i] += 1
-    fronts: list[np.ndarray] = []
-    current = np.nonzero(domination_count == 0)[0]
-    while len(current):
-        fronts.append(current)
-        next_front = []
-        for i in current:
-            for j in dominated_by[int(i)]:
-                domination_count[j] -= 1
-                if domination_count[j] == 0:
-                    next_front.append(j)
-        current = np.asarray(sorted(set(next_front)), dtype=int)
-    return fronts
 
 
 class Nsga2(Optimizer):
@@ -118,10 +91,7 @@ class Nsga2(Optimizer):
 
         while len(result.archs) < budget:
             points = np.asarray([evaluated[a] for a in population])
-            fronts = non_dominated_sort(points, maximize)
-            rank = np.empty(len(population), dtype=int)
-            for front_idx, front in enumerate(fronts):
-                rank[front] = front_idx
+            rank = front_ranks(points, maximize)
             crowd = crowding_distance(points, maximize)
 
             def tournament() -> int:
@@ -148,9 +118,8 @@ class Nsga2(Optimizer):
 
             merged = population + offspring
             merged_points = np.asarray([evaluated[a] for a in merged])
-            merged_fronts = non_dominated_sort(merged_points, maximize)
             survivors: list = []
-            for front in merged_fronts:
+            for front in non_dominated_sort(merged_points, maximize):
                 if len(survivors) + len(front) <= self.population_size:
                     survivors.extend(int(i) for i in front)
                 else:

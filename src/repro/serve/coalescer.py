@@ -55,12 +55,13 @@ class _Pending:
 
 
 class _Group:
-    __slots__ = ("key", "items", "timer")
+    __slots__ = ("key", "items", "timer", "fire_at")
 
     def __init__(self, key: tuple[str, str]) -> None:
         self.key = key
         self.items: list[_Pending] = []
         self.timer: asyncio.Task | None = None
+        self.fire_at = 0.0  # loop time the timer fires at
 
 
 class Coalescer:
@@ -151,7 +152,7 @@ class Coalescer:
         if len(group.items) >= self.max_batch:
             self._start_flush(group)
         else:
-            self._arm_timer(group)
+            self._arm_timer(group, deadline)
         return await future
 
     async def close(self) -> None:
@@ -164,16 +165,20 @@ class Coalescer:
 
     # ------------------------------------------------------------- internals
 
-    def _arm_timer(self, group: _Group) -> None:
-        delay = self.max_delay
-        for item in group.items:
-            if item.deadline is not None:
-                delay = min(delay, max(item.deadline.remaining(), 0.0))
+    def _arm_timer(self, group: _Group, deadline: Deadline | None) -> None:
+        """Start the timer at the group's first item; pull it in only when
+        a later item's deadline falls before it."""
+        loop = asyncio.get_running_loop()
+        now = loop.time()
+        fire_at = group.fire_at if group.timer is not None else now + self.max_delay
+        if deadline is not None:
+            fire_at = min(fire_at, now + max(deadline.remaining(), 0.0))
         if group.timer is not None:
+            if fire_at >= group.fire_at:
+                return
             group.timer.cancel()
-        group.timer = asyncio.get_running_loop().create_task(
-            self._fire_after(group, delay)
-        )
+        group.fire_at = fire_at
+        group.timer = loop.create_task(self._fire_after(group, fire_at - now))
 
     async def _fire_after(self, group: _Group, delay: float) -> None:
         await asyncio.sleep(delay)

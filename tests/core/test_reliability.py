@@ -61,6 +61,11 @@ class TestFaultSpec:
         assert spec.eligible("k", 0) and spec.eligible("k", 1)
         assert not spec.eligible("k", 2)
 
+    @pytest.mark.parametrize("max_attempt", [0, -2])
+    def test_empty_attempt_window_rejected(self, max_attempt):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            FaultSpec("timeout", max_attempt=max_attempt)
+
 
 class TestFaultPlan:
     def test_deterministic_across_instances(self):
@@ -123,6 +128,11 @@ class TestFaultPlan:
     def test_from_string_rejects_garbage(self):
         with pytest.raises(ValueError, match="bad fault spec"):
             FaultPlan.from_string("nan:lots")
+
+    @pytest.mark.parametrize("text", ["timeout:1.0@0", "timeout:1.0@-2", "nan:0.5@0"])
+    def test_from_string_rejects_empty_window(self, text):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            FaultPlan.from_string(text)
 
 
 class TestRetryPolicy:

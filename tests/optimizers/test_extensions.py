@@ -1,10 +1,12 @@
 """Unit tests for the extension optimizers (NSGA-II, BO-NAS)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.core.pareto import dominates
-from repro.optimizers import BoNas, Nsga2, RandomSearch, non_dominated_sort
+from repro.core.pareto import dominates, non_dominated_sort
+from repro.optimizers import BoNas, Nsga2, RandomSearch
 from repro.trainsim.schemes import P_STAR
 
 
@@ -61,6 +63,28 @@ class TestNsga2:
         assert len(front) >= 3
         accs = [p[1] for p in front]
         assert max(accs) - min(accs) > 0.01
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (0, "90a73c9c5332a7eb0bd82a6ba0bac650cb6f85c8941c8e6a75fa4f706f735e71"),
+            (1, "ea6f86f23351d65517f86bcb1cbffa9720b917bb71b83fd485bc41ded476d6ae"),
+            (2, "f503d361270a5fd853045433fc858ffd7a96a0a26714a6089f6cb77309420ee1"),
+        ],
+    )
+    def test_history_pinned(self, acc_fn, thr_fn, seed, digest):
+        """Fixed-seed histories are byte-stable across changes to the
+        non-dominated sort and crowding distance."""
+        result = Nsga2(seed=seed, population_size=20).run_biobjective(
+            acc_fn, thr_fn, budget=200, device="zcu102"
+        )
+        text = "\n".join(
+            f"{arch.to_string()} {acc!r} {perf!r}"
+            for arch, acc, perf in zip(
+                result.archs, result.accuracies, result.performances
+            )
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_parameters_validated(self):
         with pytest.raises(ValueError):

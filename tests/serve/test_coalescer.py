@@ -117,6 +117,51 @@ class TestCoalescing:
         assert sizes == [3]
 
 
+class TestTimer:
+    def test_timer_runs_from_first_item_under_staggered_arrivals(self):
+        """A steady trickle of batch-mates must not keep pushing the flush
+        back: every item waits at most ``max_delay`` (plus slack)."""
+        runner = Runner()
+        max_delay = 0.1
+        waits = []
+
+        async def main():
+            coal = Coalescer(runner, max_batch=16, max_delay=max_delay)
+            loop = asyncio.get_running_loop()
+
+            async def timed(arch):
+                start = loop.time()
+                await coal.query(arch, "a100", "throughput")
+                waits.append(loop.time() - start)
+
+            tasks = []
+            for i in range(8):
+                tasks.append(asyncio.create_task(timed("x" * (i + 1))))
+                await asyncio.sleep(0.6 * max_delay)
+            await asyncio.gather(*tasks)
+
+        run(main())
+        assert len(waits) == 8
+        assert max(waits) < 2 * max_delay
+        assert len(runner.calls) >= 3
+
+    def test_later_deadline_pulls_the_timer_in(self):
+        runner = Runner()
+
+        async def main():
+            coal = Coalescer(runner, max_batch=16, max_delay=60.0)
+            first = asyncio.create_task(coal.query("x", "a100", "throughput"))
+            await asyncio.sleep(0)
+            urgent = asyncio.create_task(
+                coal.query("yy", "a100", "throughput", Deadline.after(0.05))
+            )
+            assert await asyncio.wait_for(first, timeout=5.0) == 1.0
+            await asyncio.gather(urgent, return_exceptions=True)
+
+        run(main())
+        assert len(runner.calls) == 1
+
+
 class TestDeadlines:
     def test_already_expired_deadline_rejected_at_submit(self):
         runner = Runner()
