@@ -11,15 +11,23 @@ per-stage decisions.  Three encodings are provided:
     Raw decision values: 7 stages x 4 = 28 columns.
 ``onehot+global``
     One-hot plus global summary statistics (log-FLOPs, log-params, depth,
-    SE count), used by the feature-encoding ablation.
+    SE count); the :class:`~repro.core.surrogate_fit.SurrogateFitter`
+    default, so every fitted surrogate queries through it.
 
 Encoding is the per-query hot path of a built benchmark, so
-:meth:`FeatureEncoder.encode` is vectorised over the batch and backed by an
-arch-keyed LRU cache: only rows for architectures never seen before are
-computed, and repeat queries (optimizer populations, repeated single-arch
-queries) are served straight from the cache.  Cached rows are immutable
-(``writeable=False``) and bit-identical to what :meth:`encode_one`, the
-scalar reference implementation, produces.
+:meth:`FeatureEncoder.encode` is vectorised over the batch.  The global
+columns never build a model graph: exact integer FLOP and parameter totals
+are gathered from the shared :class:`~repro.searchspace.stage_table.StageTable`
+over the ``(n, 4, 7)`` decision tensor, and their logs are taken with
+``math.log10`` per total (``np.log10`` differs from it by an ulp on ~1% of
+rows).  Layer depth enters the counts by arithmetic, so encoding cost does
+not grow with it.
+
+An arch-keyed LRU cache sits in front: only rows for architectures never
+seen before are computed, and repeat queries (optimizer populations,
+repeated single-arch queries) are served straight from the cache.  Cached
+rows are immutable (``writeable=False``) and bit-identical to what
+:meth:`encode_one`, the scalar reference implementation, produces.
 """
 
 from __future__ import annotations
@@ -27,12 +35,10 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from repro.nn.counters import count_graph
 from repro.searchspace.mnasnet import (
     ArchSpec,
     EXPANSION_CHOICES,
@@ -41,7 +47,7 @@ from repro.searchspace.mnasnet import (
     NUM_STAGES,
     SE_CHOICES,
 )
-from repro.searchspace.model_builder import build_model
+from repro.searchspace.stage_table import decision_tensor, get_stage_table
 
 ENCODINGS = ("onehot", "integer", "onehot+global")
 
@@ -55,15 +61,15 @@ _DECISION_CHOICES: tuple[tuple[str, tuple[int, ...]], ...] = (
 )
 
 
-@lru_cache(maxsize=65536)
-def _global_stats(arch: ArchSpec) -> tuple[float, float, float, float]:
-    counters = count_graph(build_model(arch))
-    return (
-        math.log10(counters.flops),
-        math.log10(counters.params),
-        float(arch.total_layers),
-        float(sum(arch.se)),
-    )
+def _global_columns(dec: np.ndarray) -> np.ndarray:
+    """``(n, 4)`` log-FLOPs, log-params, depth and SE count of ``dec``."""
+    flops, params = get_stage_table().totals(dec)
+    out = np.empty((len(dec), 4), dtype=np.float64)
+    out[:, 0] = [math.log10(f) for f in flops.tolist()]
+    out[:, 1] = [math.log10(p) for p in params.tolist()]
+    out[:, 2] = dec[:, 2, :].sum(axis=1)
+    out[:, 3] = dec[:, 3, :].sum(axis=1)
+    return out
 
 
 class FeatureEncoder:
@@ -156,17 +162,13 @@ class FeatureEncoder:
                 value = getattr(arch, field_name)[stage]
                 row.extend(1.0 if value == choice else 0.0 for choice in choices)
         if self.encoding == "onehot+global":
-            row.extend(_global_stats(arch))
+            row.extend(_global_columns(decision_tensor([arch]))[0])
         return np.asarray(row, dtype=np.float64)
 
     def _encode_rows(self, archs: Sequence[ArchSpec]) -> np.ndarray:
         """Vectorised batch encode (no cache); returns an (n, d) matrix."""
         n = len(archs)
-        # Decisions as an (n, num_fields, NUM_STAGES) integer tensor.
-        dec = np.asarray(
-            [[getattr(a, name) for name, _ in _DECISION_CHOICES] for a in archs],
-            dtype=np.int64,
-        )
+        dec = decision_tensor(archs)
         if self.encoding == "integer":
             # Column order is stage-major: (s0.e, s0.k, s0.L, s0.se, s1.e, ...).
             return np.ascontiguousarray(
@@ -179,8 +181,9 @@ class FeatureEncoder:
         onehot = np.concatenate(blocks, axis=2).astype(np.float64).reshape(n, -1)
         if self.encoding != "onehot+global":
             return np.ascontiguousarray(onehot)
-        stats = np.asarray([_global_stats(a) for a in archs], dtype=np.float64)
-        return np.ascontiguousarray(np.concatenate([onehot, stats], axis=1))
+        return np.ascontiguousarray(
+            np.concatenate([onehot, _global_columns(dec)], axis=1)
+        )
 
     def encode(self, archs: Sequence[ArchSpec]) -> np.ndarray:
         """Encode a batch of architectures to an ``(n, num_features)`` matrix.

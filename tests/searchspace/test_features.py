@@ -1,10 +1,25 @@
 """Unit tests for surrogate feature encodings."""
 
+import math
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.nn.counters import count_graph
+from repro.searchspace import model_builder, stage_table
 from repro.searchspace.features import ENCODINGS, FeatureEncoder
-from repro.searchspace.mnasnet import NUM_STAGES
+from repro.searchspace.mnasnet import (
+    EXPANSION_CHOICES,
+    KERNEL_CHOICES,
+    LAYER_CHOICES,
+    NUM_STAGES,
+    SE_CHOICES,
+    ArchSpec,
+)
+from repro.searchspace.model_builder import build_model
 
 
 class TestWidths:
@@ -160,3 +175,98 @@ class TestEncoderCache:
 
         with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
             assert all(pool.map(worker, [0, 10, 20, 30]))
+
+
+def _oracle_row(arch: ArchSpec) -> np.ndarray:
+    """``onehot+global`` row from a real graph build: the exactness oracle."""
+    row = []
+    for stage in range(NUM_STAGES):
+        for values, choices in (
+            (arch.expansion, EXPANSION_CHOICES),
+            (arch.kernel, KERNEL_CHOICES),
+            (arch.layers, LAYER_CHOICES),
+            (arch.se, SE_CHOICES),
+        ):
+            row.extend(float(values[stage] == c) for c in choices)
+    counters = count_graph(build_model(arch))
+    row += [
+        math.log10(counters.flops),
+        math.log10(counters.params),
+        float(arch.total_layers),
+        float(sum(arch.se)),
+    ]
+    return np.asarray(row, dtype=np.float64)
+
+
+def _stages(values):
+    return st.tuples(*[values] * NUM_STAGES)
+
+
+off_grid_archs = st.builds(
+    ArchSpec,
+    expansion=_stages(st.integers(1, 8)),
+    kernel=_stages(st.sampled_from([1, 3, 5, 7, 9])),
+    layers=_stages(st.integers(1, 5)),
+    se=_stages(st.sampled_from([0, 1])),
+)
+
+
+def _uniform(block: str) -> ArchSpec:
+    return ArchSpec.from_string("|".join([block] * NUM_STAGES))
+
+
+class TestGlobalExactness:
+    """``onehot+global`` rows are byte-equal to the graph oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(archs=st.lists(off_grid_archs, min_size=1, max_size=4))
+    def test_off_grid_rows_match_oracle(self, archs):
+        enc = FeatureEncoder("onehot+global", cache_size=0)
+        X = enc.encode(archs)
+        for arch, row in zip(archs, X):
+            ref = _oracle_row(arch).tobytes()
+            assert row.tobytes() == ref
+            assert enc.encode_one(arch).tobytes() == ref
+
+    def test_seeded_pool_matches_oracle(self, space):
+        """Catches np.log10 in place of math.log10 (differs on ~1% of rows)."""
+        pool = space.sample_batch(1000, rng=np.random.default_rng(2024), unique=True)
+        X = FeatureEncoder("onehot+global", cache_size=0).encode(pool)
+        ref = np.stack([_oracle_row(a) for a in pool])
+        assert X.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("depth", [4, 9, 300])
+    def test_deep_rows_match_oracle(self, depth):
+        arch = _uniform(f"e6k5L{depth}se1")
+        enc = FeatureEncoder("onehot+global")
+        assert enc.encode([arch])[0].tobytes() == _oracle_row(arch).tobytes()
+        assert enc.encode_one(arch).tobytes() == _oracle_row(arch).tobytes()
+
+    def test_million_layer_stages_encode_promptly(self):
+        """Depth enters by arithmetic: no graph of 7 million blocks is built."""
+        arch = _uniform("e6k5L1000000se1")
+        result = []
+        worker = threading.Thread(
+            target=lambda: result.append(FeatureEncoder("onehot+global").encode([arch])),
+            daemon=True,
+        )
+        worker.start()
+        worker.join(timeout=2.0)
+        assert not worker.is_alive(), "encode of a deep arch did not finish in 2 s"
+        assert result[0][0, -2] == 7_000_000.0
+
+    def test_fresh_encode_builds_one_probe_per_config(self, space, monkeypatch):
+        calls = []
+
+        def counting_build(arch, *args, **kwargs):
+            calls.append(arch)
+            return build_model(arch, *args, **kwargs)
+
+        monkeypatch.setattr(model_builder, "build_model", counting_build)
+        monkeypatch.setattr(stage_table, "_TABLES", {})
+        pool = space.sample_batch(5200, rng=np.random.default_rng(3), unique=True)
+        FeatureEncoder("onehot+global", cache_size=0).encode(pool)
+        configs = {
+            (a.expansion[s], a.kernel[s], a.se[s]) for a in pool for s in range(NUM_STAGES)
+        }
+        assert 0 < len(calls) <= 2 * len(configs)

@@ -175,6 +175,9 @@ class TestInputValidation:
         cases = [
             ("/query", {}),
             ("/query", {"arch": "not|an|arch"}),
+            # Decisions past int64, and compute counts past int64.
+            ("/query", {"arch": "|".join(["e1k3L1" + "0" * 30 + "se0"] * 7)}),
+            ("/query", {"arch": "|".join(["e1k3L1" + "0" * 15 + "se0"] * 7)}),
             ("/query", {"arch": arch_strings[0], "device": "nope"}),
             ("/query", {"arch": arch_strings[0], "timeout_ms": 0}),
             ("/query", {"arch": arch_strings[0], "timeout_ms": "fast"}),
