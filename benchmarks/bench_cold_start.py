@@ -9,14 +9,6 @@ The columnar store must be >= 5x faster to first query: the JSON path parses
 every tree of every surrogate up front, the columnar path reads one manifest
 and memmaps just the accuracy model's shards.
 
-Also records the histogram-accumulation satellite: tree fits with the
-default ``auto`` kernel (per-feature weighted ``bincount`` over
-transposed-contiguous columns on large nodes, no flattened-code or
-``np.repeat`` temporaries) vs the legacy flatten+``repeat`` pass forced
-everywhere.  Trees are bit-identical between modes; the fit rows are
-sized so the tree's upper levels actually cross the auto kernel's
-node-size threshold.
-
 Results append to ``results/BENCH_build.json``.
 """
 
@@ -26,23 +18,14 @@ import subprocess
 import sys
 
 import repro.obs as obs
-import repro.surrogates.gbdt as gbdt
 from repro.core.benchmark import AccelNASBench
 from repro.core.dataset import sample_dataset_archs
-from repro.surrogates.tree import GradientTreeBuilder
 from repro.trainsim.schemes import P_STAR
 
 from conftest import BENCH_ARCHS, emit, record_trajectory
 
 COLD_ARCHS = min(400, BENCH_ARCHS)
 COLD_RUNS = 3
-# Histogram-kernel fit workload: rows must comfortably exceed the auto
-# kernel's per-node crossover (tree.py _BINCOUNT_MIN_ROWS) for the top
-# levels of every tree, or the two modes degenerate to the same kernel.
-FIT_ROWS = 8192
-FIT_TREES = 24
-FIT_REPS = 3
-
 _COLD_SCRIPT = """
 import json, resource, sys, time
 from repro.core.benchmark import AccelNASBench
@@ -80,30 +63,7 @@ def _cold_start(artifact_path, arch) -> dict:
     return best
 
 
-def _fit_seconds(hist_mode: str, X, y) -> float:
-    """Best-of-N XGB ensemble fit time with the given histogram kernel."""
-
-    class _Builder(GradientTreeBuilder):
-        def __init__(self, *args, **kwargs):
-            kwargs["hist_mode"] = hist_mode
-            super().__init__(*args, **kwargs)
-
-    original = gbdt.GradientTreeBuilder
-    gbdt.GradientTreeBuilder = _Builder
-    try:
-        best = None
-        for _ in range(FIT_REPS):
-            with obs.timer() as t:
-                gbdt.XGBRegressor(
-                    n_estimators=FIT_TREES, max_depth=8, seed=3
-                ).fit(X, y)
-            best = t.seconds if best is None else min(best, t.seconds)
-    finally:
-        gbdt.GradientTreeBuilder = original
-    return best
-
-
-def test_columnar_cold_start_and_fit_speedup(tmp_path):
+def test_columnar_cold_start(tmp_path):
     bench, _ = AccelNASBench.build(
         P_STAR,
         num_archs=COLD_ARCHS,
@@ -131,13 +91,6 @@ def test_columnar_cold_start_and_fit_speedup(tmp_path):
         f"({cold_store['seconds']:.3f}s vs {cold_json['seconds']:.3f}s)"
     )
 
-    # Satellite: adaptive bincount histograms vs legacy repeat+flatten.
-    fit_archs = sample_dataset_archs(FIT_ROWS, seed=5)
-    fit_X = bench.encoder.encode(fit_archs)
-    fit_y = bench.query_accuracy_batch(fit_archs)
-    fit_repeat_s = _fit_seconds("repeat", fit_X, fit_y)
-    fit_auto_s = _fit_seconds("auto", fit_X, fit_y)
-
     lines = [
         f"Cold start to first query ({COLD_ARCHS} archs, "
         f"{len(bench.targets)} device targets + accuracy, best of {COLD_RUNS}):",
@@ -150,11 +103,6 @@ def test_columnar_cold_start_and_fit_speedup(tmp_path):
         f"  speedup  : {speedup:8.1f} x",
         f"  save     : json {t_save_json.seconds:.2f} s, "
         f"columnar {t_save_store.seconds:.2f} s",
-        f"Histogram kernel ({FIT_TREES}-tree XGB fit on {FIT_ROWS} rows, "
-        f"best of {FIT_REPS}):",
-        f"  repeat   : {fit_repeat_s:8.2f} s",
-        f"  auto     : {fit_auto_s:8.2f} s "
-        f"({fit_repeat_s / fit_auto_s:.2f}x)",
     ]
     emit("bench_cold_start", "\n".join(lines))
     record_trajectory(
@@ -170,9 +118,5 @@ def test_columnar_cold_start_and_fit_speedup(tmp_path):
             - cold_store["rss_before_kb"],
             "json_bytes": json_path.stat().st_size,
             "store_bytes": store_bytes,
-            "fit_rows": FIT_ROWS,
-            "fit_repeat_s": fit_repeat_s,
-            "fit_auto_s": fit_auto_s,
-            "fit_speedup": fit_repeat_s / fit_auto_s,
         },
     )

@@ -180,17 +180,10 @@ class SurrogateFitter:
         hpo_budget: SMAC evaluations for hyperparameter tuning (0 = use the
             hand-tuned defaults).
         hpo_seed: SMAC seed.
-        engine: Tree-growth engine forwarded to the tree families
-            (``xgb``/``lgb``/``rf``): ``"partition"`` or ``"legacy"``.
-            Both grow bit-identical models; the knob exists for golden
-            tests and speedup baselines.
-        hist_mode: Histogram kernel selection forwarded to the tree
-            families.
         n_jobs: Tree-fitting workers forwarded to ``rf`` (byte-identical
-            ensembles for any value).
-
-    ``engine``/``hist_mode``/``n_jobs`` never enter the fitted parameter
-    surface, so saved artifacts are byte-stable across all of them.
+            ensembles for any value).  It never enters the fitted
+            parameter surface, so saved artifacts are byte-stable across
+            worker counts.
 
     Targets are always standardised before fitting, and throughput/latency
     targets are additionally log-transformed (their structure is
@@ -204,25 +197,19 @@ class SurrogateFitter:
         split_seed: int = 0,
         hpo_budget: int = 0,
         hpo_seed: int = 0,
-        engine: str = "partition",
-        hist_mode: str = "auto",
         n_jobs: int | None = 1,
     ) -> None:
         self.encoder = encoder if encoder is not None else FeatureEncoder("onehot+global")
         self.split_seed = split_seed
         self.hpo_budget = hpo_budget
         self.hpo_seed = hpo_seed
-        self.engine = engine
-        self.hist_mode = hist_mode
         self.n_jobs = n_jobs
 
     def _build(self, family: str, params: dict[str, Any]) -> Regressor:
         if family in ("esvr", "nusvr", "gp"):
             params = {**params, "max_samples": SVR_MAX_SAMPLES}
-        elif family in ("xgb", "lgb", "rf"):
-            params = {**params, "engine": self.engine, "hist_mode": self.hist_mode}
-            if family == "rf":
-                params["n_jobs"] = self.n_jobs
+        elif family == "rf":
+            params = {**params, "n_jobs": self.n_jobs}
         return make_surrogate(family, **params)
 
     def _tune(

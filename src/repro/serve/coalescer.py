@@ -17,8 +17,10 @@ Flush policy — whichever comes first:
 At flush time, items whose deadline already expired are answered with
 :class:`~repro.core.reliability.DeadlineExceeded` (HTTP 504) instead of
 being executed as zombies; items whose client disconnected (cancelled
-futures) are silently skipped.  A runner exception fans out to every live
-item in the batch.
+futures) are silently skipped.  When a batch of several items raises, each
+live item is re-run alone and gets its own result or exception, so one
+rejected arch never fails the valid queries coalesced with it; a
+single-item batch's exception goes straight to its waiter.
 
 Single-threaded by design (asyncio); no locks needed.
 """
@@ -218,7 +220,7 @@ class Coalescer:
             results = await self.runner(
                 device, metric, [item.arch for item in live]
             )
-        except Exception as exc:  # fan the failure out to every waiter
+        except Exception as exc:
             if self.on_batch is not None:
                 self.on_batch(
                     [item.ctx for item in live],
@@ -226,9 +228,11 @@ class Coalescer:
                     self.clock() - started,
                     "error",
                 )
-            for item in live:
-                if not item.future.cancelled():
-                    item.future.set_exception(exc)
+            if len(live) == 1:
+                if not live[0].future.cancelled():
+                    live[0].future.set_exception(exc)
+            else:
+                await self._run_alone(device, metric, live)
             return
         if self.on_batch is not None:
             self.on_batch(
@@ -240,3 +244,27 @@ class Coalescer:
         for item, value in zip(live, results):
             if not item.future.cancelled():
                 item.future.set_result(value)
+
+    async def _run_alone(
+        self, device: str, metric: str, items: list[_Pending]
+    ) -> None:
+        """Answer each item of a failed batch from its own runner call, so
+        one rejected arch cannot fail the valid items batched with it."""
+        for item in items:
+            if item.future.cancelled():
+                continue
+            started = self.clock() if self.on_batch is not None else 0.0
+            try:
+                (value,) = await self.runner(device, metric, [item.arch])
+            except Exception as exc:
+                status = "error"
+                if not item.future.cancelled():
+                    item.future.set_exception(exc)
+            else:
+                status = "ok"
+                if not item.future.cancelled():
+                    item.future.set_result(value)
+            if self.on_batch is not None:
+                self.on_batch(
+                    [item.ctx], started, self.clock() - started, status
+                )

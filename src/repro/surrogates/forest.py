@@ -35,11 +35,6 @@ class RandomForestRegressor(Regressor):
         n_jobs: Tree-fitting worker threads (1 = serial; ``None``/``-1`` =
             all CPUs).  Not part of the saved parameter surface — artifacts
             are byte-identical for every value.
-        engine: Tree-growth engine (``"partition"`` or ``"legacy"``), passed
-            through to :class:`GradientTreeBuilder`; bit-identical trees
-            either way.  Not part of the saved parameter surface.
-        hist_mode: Histogram kernel selection, passed through to the builder.
-            Not part of the saved parameter surface.
     """
 
     _PARAM_NAMES = (
@@ -62,8 +57,6 @@ class RandomForestRegressor(Regressor):
         max_bins: int = 64,
         seed: int = 0,
         n_jobs: int | None = 1,
-        engine: str = "partition",
-        hist_mode: str = "auto",
     ) -> None:
         self.n_estimators = n_estimators
         self.max_depth = max_depth
@@ -73,8 +66,6 @@ class RandomForestRegressor(Regressor):
         self.max_bins = max_bins
         self.seed = seed
         self.n_jobs = n_jobs
-        self.engine = engine
-        self.hist_mode = hist_mode
         self._trees: list[FittedTree] = []
         self._predictor: TreeEnsemblePredictor | None = None
 
@@ -104,8 +95,6 @@ class RandomForestRegressor(Regressor):
                 gamma=0.0,
                 colsample_bynode=self.max_features,
                 rng=rng,
-                engine=self.engine,
-                hist_mode=self.hist_mode,
             )
             sub_y = y[rows]
             return builder.build(codes[rows], g=-sub_y, h=np.ones_like(sub_y))

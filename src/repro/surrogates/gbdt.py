@@ -35,13 +35,10 @@ class XGBRegressor(Regressor):
             for this many rounds (requires ``validation_fraction`` > 0).
         validation_fraction: Held-out fraction used for early stopping.
         seed: Randomness seed.
-        engine: Tree-growth engine (``"partition"`` or ``"legacy"``), passed
-            through to :class:`GradientTreeBuilder`.  Both engines grow
-            bit-identical ensembles; the knob exists for golden tests and
-            speedup baselines and is deliberately *not* part of the saved
-            parameter surface (artifacts stay byte-stable across engines).
-        hist_mode: Histogram kernel selection, passed through to the
-            builder.  Like ``engine``, not part of the saved parameters.
+
+    Each round grows its tree with :class:`GradientTreeBuilder` and updates
+    the training predictions from the routing growth already computed, so
+    the boosting loop works on binned codes and never re-predicts floats.
     """
 
     _PARAM_NAMES = (
@@ -73,8 +70,6 @@ class XGBRegressor(Regressor):
         early_stopping_rounds: int | None = None,
         validation_fraction: float = 0.1,
         seed: int = 0,
-        engine: str = "partition",
-        hist_mode: str = "auto",
     ) -> None:
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
@@ -88,8 +83,6 @@ class XGBRegressor(Regressor):
         self.early_stopping_rounds = early_stopping_rounds
         self.validation_fraction = validation_fraction
         self.seed = seed
-        self.engine = engine
-        self.hist_mode = hist_mode
         self._trees: list[FittedTree] = []
         self._base_score = 0.0
         self._predictor: TreeEnsemblePredictor | None = None
@@ -117,11 +110,10 @@ class XGBRegressor(Regressor):
         binner = HistogramBinner(self.max_bins).fit(X)
         codes = binner.transform(X)
         n = X.shape[0]
-        fast = self.engine == "partition"
         # Binned routing is bit-identical to float routing (codes come from
         # ``searchsorted(cuts, x, "left")``, so ``code <= b`` iff
-        # ``x <= cuts[b]``) — the partition path never re-touches floats.
-        codes_val = binner.transform(X_val) if fast and X_val is not None else None
+        # ``x <= cuts[b]``), so the loop never re-touches floats.
+        codes_val = binner.transform(X_val) if X_val is not None else None
         self._predictor = None
         self._base_score = float(y.mean())
         pred = np.full(n, self._base_score)
@@ -148,40 +140,29 @@ class XGBRegressor(Regressor):
                 gamma=self.gamma,
                 colsample_bynode=self.colsample_bynode,
                 rng=rng,
-                engine=self.engine,
-                hist_mode=self.hist_mode,
                 **self._growth_kwargs(),
             )
-            if fast:
-                # Growth already routed every build row to its leaf, so the
-                # boosting update reuses that routing and only traverses the
-                # binned codes for rows the subsample left out.  Each row
-                # receives the same single ``lr * leaf_value`` addend as a
-                # full-matrix ``tree.predict``, so ``pred`` stays
-                # bit-identical to the legacy loop.
-                if rows is None:
-                    grown = builder.grow(codes, grad, hess)
-                    delta = grown.train_prediction
-                else:
-                    grown = builder.grow(codes[rows], grad[rows], hess[rows])
-                    delta = np.empty(n, dtype=np.float64)
-                    delta[rows] = grown.train_prediction
-                    held_out = np.ones(n, dtype=bool)
-                    held_out[rows] = False
-                    if held_out.any():
-                        delta[held_out] = grown.predict_codes(codes[held_out])
-                tree = grown.tree
-                self._trees.append(tree)
-                pred += self.learning_rate * delta
-                if val_pred is not None:
-                    val_pred += self.learning_rate * grown.predict_codes(codes_val)
+            # Growth already routed every build row to its leaf, so the
+            # boosting update reuses that routing and only traverses the
+            # binned codes for rows the subsample left out.  Each row
+            # receives the same single ``lr * leaf_value`` addend as a
+            # full-matrix ``tree.predict``, so ``pred`` is bit-identical to
+            # re-predicting the float matrix every round.
+            if rows is None:
+                grown = builder.grow(codes, grad, hess)
+                delta = grown.train_prediction
             else:
-                idx = np.arange(n) if rows is None else rows
-                tree = builder.build(codes[idx], grad[idx], hess[idx])
-                self._trees.append(tree)
-                pred += self.learning_rate * tree.predict(X)
-                if val_pred is not None:
-                    val_pred += self.learning_rate * tree.predict(X_val)
+                grown = builder.grow(codes[rows], grad[rows], hess[rows])
+                delta = np.empty(n, dtype=np.float64)
+                delta[rows] = grown.train_prediction
+                held_out = np.ones(n, dtype=bool)
+                held_out[rows] = False
+                if held_out.any():
+                    delta[held_out] = grown.predict_codes(codes[held_out])
+            self._trees.append(grown.tree)
+            pred += self.learning_rate * delta
+            if val_pred is not None:
+                val_pred += self.learning_rate * grown.predict_codes(codes_val)
             if val_pred is not None:
                 val_loss = float(np.mean((val_pred - y_val) ** 2))
                 if val_loss < best_val - 1e-12:

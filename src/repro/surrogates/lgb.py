@@ -36,8 +36,6 @@ class LGBRegressor(XGBRegressor):
         early_stopping_rounds: int | None = None,
         validation_fraction: float = 0.1,
         seed: int = 0,
-        engine: str = "partition",
-        hist_mode: str = "auto",
     ) -> None:
         super().__init__(
             n_estimators=n_estimators,
@@ -52,8 +50,6 @@ class LGBRegressor(XGBRegressor):
             early_stopping_rounds=early_stopping_rounds,
             validation_fraction=validation_fraction,
             seed=seed,
-            engine=engine,
-            hist_mode=hist_mode,
         )
         if num_leaves < 2:
             raise ValueError("num_leaves must be >= 2")

@@ -11,30 +11,33 @@ Plain regression trees (and hence random forests) are the special case
 ``g = -y, h = 1, lambda = 0``, for which the leaf value reduces to the mean
 target and the gain to variance reduction.
 
-Two growth engines share the split mathematics:
+Every tree grows through one histogram-native engine, the single-grower
+shape of sklearn's ``_hist_gradient_boosting``:
 
-- ``engine="partition"`` (default) — the histogram-native layout: one
-  ``row_indices`` array per tree, partitioned in place at every split so a
-  node's rows are always a contiguous slice; a CSR bin layout (each feature
-  owns exactly ``num_bins(j)`` slots of one flat bin axis, so one-hot
-  features cost 2 bins instead of a padded ``max_bins`` row); and fused
-  single-pass kernels that accumulate count/gradient/hessian histograms for
-  every feature — and, depth-wise, for every node of a tree level — in one
-  ``bincount`` over offset codes.
-- ``engine="legacy"`` — the pre-fusion per-node engine (gather ``idx``,
-  per-node histograms over a padded ``(k, bmax)`` grid).  Kept as the
-  bit-identical reference for golden tests and speedup benchmarks.
+- one ``row_indices`` array per tree, partitioned in place at every split
+  so a node's rows are always a contiguous slice;
+- a CSR bin layout: each feature owns exactly ``num_bins(j)`` slots of one
+  flat bin axis, so a one-hot feature costs 2 bins instead of a padded
+  ``max_bins`` row;
+- fused single-pass kernels that accumulate count/gradient/hessian
+  histograms for every feature (and, depth-wise, for every node of a tree
+  level) in one ``bincount`` over offset codes.
 
-Both engines grow byte-identical trees: per (node, feature, bin) the float
-addends arrive in the same increasing row order, gains are evaluated with
-the same expressions, and argmax tie-breaking scans candidate splits in the
-same (feature draw order, bin ascending) sequence.
+Two choices inside the engine depend only on the input, never on an
+option: the histogram kernel of each pass (fused flat ``bincount`` below
+``_BINCOUNT_MIN_ROWS`` staged rows, one ``bincount`` per feature column at
+or above it), and whether count histograms are derived by subtraction
+(parent - sibling, skipped when every feature is binary).  Neither changes
+a grown tree: per (node, feature, bin) the float addends arrive in
+increasing row order in both kernels, counts are exact in int64, and
+argmax tie-breaking scans candidate splits in (feature draw order, bin
+ascending) sequence.  ``tests/surrogates/tree_oracle.py`` holds the
+per-node reference grower the engine is checked against byte for byte.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -89,16 +92,6 @@ class HistogramBinner:
         if self.thresholds_ is None:
             raise RuntimeError("binner is not fitted")
         return len(self.thresholds_[feature]) + 1
-
-
-@dataclass
-class _Split:
-    """A candidate split of one node."""
-
-    gain: float
-    feature: int
-    bin_idx: int           # go left if code <= bin_idx
-    threshold: float       # raw-value threshold equivalent
 
 
 @dataclass
@@ -426,17 +419,14 @@ class FlatTreeSequence(Sequence):
         return self._cache[i]
 
 
-# Node-size crossover for ``hist_mode="auto"``: below this many rows per
-# node the flat single-pass kernel wins (``"fused"`` on the partition
-# engine, ``"repeat"`` on the legacy one — few big ``bincount`` calls, tiny
-# temporaries); at or above it, one ``bincount`` per transposed-contiguous
-# feature column wins on memory traffic, widening with node size.  Both
-# kernels sum per-bin addends in the same row order, so the switch never
-# changes a grown tree.  Recalibrated for the fused CSR kernel: its flat
-# axis is ~5x narrower than the padded legacy layout (one-hot features own
-# 2 bins, not ``max_bins``), which moves the crossover well above the old
-# 768 rows — on the Table-1 shapes the fused pass stays ahead until nodes
-# are several thousand rows deep.
+# Kernel crossover, resolved per histogram pass on the staged row total:
+# below it the fused flat kernel wins (few big ``bincount`` calls, tiny
+# temporaries); at or above it, one ``bincount`` per feature column wins on
+# memory traffic, because the fused kernel's ``np.repeat`` weight temporary
+# grows with the staged rows.  Both kernels sum per-bin addends in the same
+# row order, so the crossover never changes a grown tree.  The CSR bin axis
+# is narrow (one-hot features own 2 bins), which keeps the fused pass ahead
+# on the Table-1 shapes until a pass stages several thousand rows.
 _BINCOUNT_MIN_ROWS = 4096
 
 # Offset codes (bin code + feature's CSR start) are stored at the narrowest
@@ -495,38 +485,13 @@ class GradientTreeBuilder:
         gamma: Minimum gain required to make a split.
         colsample_bynode: Fraction of features examined per node.
         rng: Randomness source for feature subsampling.
-        hist_subtraction: Derive one child's *count* histogram per split as
-            parent − sibling instead of re-binning it (LightGBM's trick).
-            Only integer count histograms are subtracted — they are exact in
-            int64, and for the unit-hessian trees every in-repo ensemble
-            fits they double as the hessian histograms.  Gradient histograms
-            are always recomputed directly: float subtraction changes ulps,
-            and with one-hot features that is enough to flip tied-gain
-            ``argmax`` winners, so it would not be bit-safe.  The engine
-            self-gates on ``colsample_bynode == 1.0`` (feature subsampling
-            consumes the rng per node, which precomputed tables must not
-            perturb); trees are bit-identical with the engine on or off.
-        hist_mode: Histogram accumulation strategy.  ``"fused"`` is the
-            partition engine's single-pass kernel: one ``bincount`` over
-            CSR offset codes accumulates every feature (and, depth-wise,
-            every node of a level) at once.  ``"bincount"`` accumulates one
-            weighted ``bincount`` per contiguous feature-major column, with
-            no flattened-code or ``np.repeat`` weight temporaries — a win
-            on big nodes, but per-call overhead bound on small ones.
-            ``"repeat"`` is the legacy engine's flatten-and-repeat kernel
-            (on the partition engine it aliases ``"fused"``, its successor).
-            ``"auto"`` (the default) picks per node: ``bincount`` at or
-            above ``_BINCOUNT_MIN_ROWS`` rows, the flat kernel below.
-            Per-bin addends arrive in the same increasing row order in
-            every mode, so all modes grow bit-identical trees; the forced
-            modes exist for equivalence tests and speedup benchmarks.
-        engine: ``"partition"`` (default) grows through the histogram-native
-            layout — in-place row partitioning, CSR bin axis, fused kernels,
-            count subtraction active under ``colsample_bynode`` too (full
-            feature histograms make counts rng-independent).  ``"legacy"``
-            is the pre-fusion per-node engine, kept as the bit-identical
-            reference for golden tests and speedup baselines.  Both grow
-            byte-identical trees.
+
+    Trees grow through the module's partition engine.  Its histogram
+    kernel and count-subtraction plan follow the input alone (see the
+    module docstring), so the constructor carries only model parameters.
+    Feature draws consume ``rng`` once per eligible node, in the order
+    nodes are evaluated; count histograms always cover every feature, so
+    subtraction stays exact under ``colsample_bynode < 1`` too.
     """
 
     def __init__(
@@ -541,21 +506,11 @@ class GradientTreeBuilder:
         gamma: float = 0.0,
         colsample_bynode: float = 1.0,
         rng: np.random.Generator | None = None,
-        hist_subtraction: bool = True,
-        hist_mode: str = "auto",
-        engine: str = "partition",
     ) -> None:
         if growth not in ("depthwise", "leafwise"):
             raise ValueError(f"unknown growth policy {growth!r}")
         if not 0.0 < colsample_bynode <= 1.0:
             raise ValueError("colsample_bynode must be in (0, 1]")
-        if hist_mode not in ("auto", "fused", "bincount", "repeat"):
-            raise ValueError(f"unknown hist_mode {hist_mode!r}")
-        if engine not in ("partition", "legacy"):
-            raise ValueError(f"unknown engine {engine!r}")
-        if engine == "legacy" and hist_mode == "fused":
-            raise ValueError("hist_mode='fused' requires engine='partition'")
-        self.engine = engine
         self.binner = binner
         self.max_depth = max_depth
         self.num_leaves = num_leaves
@@ -565,8 +520,6 @@ class GradientTreeBuilder:
         self.reg_lambda = reg_lambda
         self.gamma = gamma
         self.colsample_bynode = colsample_bynode
-        self.hist_subtraction = hist_subtraction
-        self.hist_mode = hist_mode
         # Seeded fallback: feature subsampling must replay identically when
         # no generator is injected (all in-repo callers pass one).
         self.rng = rng if rng is not None else np.random.default_rng(0)
@@ -585,201 +538,6 @@ class GradientTreeBuilder:
             return np.arange(num_features)
         k = max(1, int(round(self.colsample_bynode * num_features)))
         return self.rng.choice(num_features, size=k, replace=False)
-
-    def _resolve_hist_mode(self, m: int) -> str:
-        """The accumulation kernel to use for a pass over ``m`` staged rows.
-
-        The legacy engine resolves per node; the partition engine resolves
-        per *pass* (the staged total across a level's nodes), because the
-        fused kernel's flatten/repeat temporaries scale with the staged
-        total while the column kernel's per-``bincount`` overhead does not.
-        """
-        if self.hist_mode == "auto":
-            if m >= _BINCOUNT_MIN_ROWS:
-                return "bincount"
-            return "fused" if self.engine == "partition" else "repeat"
-        if self.engine == "partition" and self.hist_mode == "repeat":
-            return "fused"  # the flat kernel's successor on this engine
-        return self.hist_mode
-
-    def _count_hist(self, idx: np.ndarray) -> np.ndarray:
-        """Integer count histogram of ``idx``.
-
-        Counts are exact in int64 under any summation order, so the kernel
-        is picked purely by node size regardless of ``hist_mode``.
-        """
-        node_codes = self._codes[idx]
-        m, k = node_codes.shape
-        if m < _BINCOUNT_MIN_ROWS:
-            flat = (
-                node_codes.astype(np.int64)
-                + np.arange(k, dtype=np.int64)[None, :] * self._bmax
-            ).ravel()
-            return np.bincount(flat, minlength=k * self._bmax).reshape(
-                k, self._bmax
-            )
-        cols = np.ascontiguousarray(node_codes.T)
-        out = np.empty((k, self._bmax), dtype=np.int64)
-        for j in range(k):
-            out[j] = np.bincount(cols[j], minlength=self._bmax)
-        return out
-
-    def _node_hists(
-        self,
-        node_codes: np.ndarray,
-        bmax: int,
-        g_node: np.ndarray,
-        h_node: np.ndarray | None,
-        n_hist: np.ndarray | None,
-        mode: str,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """Count/gradient/hessian histograms of one node, shape ``(k, bmax)``.
-
-        ``mode`` is the *resolved* kernel (never ``"auto"``).
-        ``"bincount"`` transposes the ``(m, k)`` node codes once into
-        contiguous feature columns and accumulates one weighted
-        ``bincount`` per (already sub-selected) feature — no flattened
-        offset-code array and no ``(m, k)`` ``np.repeat`` weight
-        temporaries.  ``"repeat"`` runs the legacy flatten-and-repeat
-        pass.  For any fixed (feature, bin) pair the addends arrive in the
-        same increasing row order in both kernels, so every float sum —
-        and hence every grown tree — is bit-identical between modes.
-
-        ``n_hist`` may carry this node's count histogram derived from its
-        parent (parent − sibling, see :meth:`_child_hists`), in which case
-        the count pass is skipped.  ``h_node=None`` signals unit hessians
-        (the caller derives ``h_hist`` from counts) and skips the hessian
-        pass entirely.
-        """
-        m, k = node_codes.shape
-        if mode == "repeat":  # legacy accumulation (small nodes, benchmarks)
-            flat = (
-                node_codes.astype(np.int64)
-                + np.arange(k, dtype=np.int64)[None, :] * bmax
-            ).ravel()
-            total_bins = k * bmax
-            if n_hist is None:
-                n_hist = np.bincount(flat, minlength=total_bins).reshape(k, bmax)
-            g_hist = np.bincount(
-                flat, weights=np.repeat(g_node, k), minlength=total_bins
-            ).reshape(k, bmax)
-            h_hist = None
-            if h_node is not None:
-                h_hist = np.bincount(
-                    flat, weights=np.repeat(h_node, k), minlength=total_bins
-                ).reshape(k, bmax)
-            return n_hist, g_hist, h_hist
-        cols = np.ascontiguousarray(node_codes.T)
-        count_needed = n_hist is None
-        if count_needed:
-            n_hist = np.empty((k, bmax), dtype=np.int64)
-        g_hist = np.empty((k, bmax), dtype=np.float64)
-        h_hist = None if h_node is None else np.empty((k, bmax), dtype=np.float64)
-        for j in range(k):
-            col = cols[j]
-            if count_needed:
-                n_hist[j] = np.bincount(col, minlength=bmax)
-            g_hist[j] = np.bincount(col, weights=g_node, minlength=bmax)
-            if h_hist is not None:
-                h_hist[j] = np.bincount(col, weights=h_node, minlength=bmax)
-        return n_hist, g_hist, h_hist
-
-    def _eligible(self, idx: np.ndarray, depth: int) -> bool:
-        """Whether a node at ``depth`` with samples ``idx`` can be split."""
-        if self.max_depth is not None and depth >= self.max_depth:
-            return False
-        return len(idx) >= 2 * self.min_child_samples
-
-    def _best_split(
-        self,
-        codes: np.ndarray,
-        g: np.ndarray,
-        h: np.ndarray,
-        idx: np.ndarray,
-        n_hist: np.ndarray | None = None,
-    ) -> tuple[_Split | None, np.ndarray | None]:
-        """Best histogram split of the samples in ``idx``.
-
-        Count/gradient/hessian statistics are accumulated per (sub-sampled)
-        feature by :meth:`_node_hists`, then gains for every (feature, bin)
-        pair are computed in one vectorised pass.  With the subtraction
-        engine active, ``n_hist`` may carry this node's count histogram
-        derived from its parent (parent − sibling), skipping the count
-        pass; the histogram actually used is returned so the growers can
-        derive the children's.
-
-        Returns:
-            ``(split_or_none, count_hist_or_none)``; the histogram is only
-            returned when the subtraction engine is active.
-        """
-        assert self.binner.thresholds_ is not None
-        m = len(idx)
-        mode = self._resolve_hist_mode(m)
-        if self._subtract:
-            # Engine path: all features, no per-node rng consumption.
-            feats = np.arange(codes.shape[1])
-            bmax = self._bmax
-            if bmax < 2:
-                return None, None
-            node_codes = codes[idx]
-        else:
-            feats = self._feature_subset(codes.shape[1])
-            bmax = int(self._num_bins[feats].max())
-            if bmax < 2:
-                return None, None
-            node_codes = codes[np.ix_(idx, feats)]
-            n_hist = None  # never carried over on the subsampled path
-        g_node = g[idx]
-        h_node = None if self._unit_hessian else h[idx]
-        n_hist, g_hist, h_hist = self._node_hists(
-            node_codes, bmax, g_node, h_node, n_hist, mode
-        )
-        h_total = float(m) if self._unit_hessian else float(h_node.sum())
-        g_total = float(g_node.sum())
-        parent_score = self._score(g_total, h_total)
-
-        nl = np.cumsum(n_hist, axis=1)[:, :-1]
-        gl = np.cumsum(g_hist, axis=1)[:, :-1]
-        if self._unit_hessian:
-            # Counts double as hessians; their prefix sums are integers, so
-            # the int64 cumsum cast to float64 is bit-equal to cumsumming
-            # the cast histogram (both exact below 2**53).
-            hl = nl.astype(np.float64)
-        else:
-            hl = np.cumsum(h_hist, axis=1)[:, :-1]
-        nr, gr, hr = m - nl, g_total - gl, h_total - hl
-        # Split point b on feature j is only meaningful for b < num_bins(j)-1.
-        if self._subtract:
-            in_range = self._in_range  # constant per build on this path
-        else:
-            nbins = self._num_bins[feats]
-            in_range = np.arange(bmax - 1)[None, :] < (nbins - 1)[:, None]
-        valid = (
-            in_range
-            & (nl >= self.min_child_samples)
-            & (nr >= self.min_child_samples)
-            & (hl >= self.min_child_weight)
-            & (hr >= self.min_child_weight)
-        )
-        if not valid.any():
-            return None, None
-        gains = (
-            0.5 * (self._score(gl, hl) + self._score(gr, hr) - parent_score)
-            - self.gamma
-        )
-        gains = np.where(valid, gains, -np.inf)
-        flat_best = int(np.argmax(gains))
-        row, b = divmod(flat_best, bmax - 1)
-        if gains[row, b] <= 0:
-            return None, None
-        feature = int(feats[row])
-        split = _Split(
-            gain=float(gains[row, b]),
-            feature=feature,
-            bin_idx=b,
-            threshold=float(self.binner.thresholds_[feature][b]),
-        )
-        return split, (n_hist if self._subtract else None)
 
     def build(self, codes: np.ndarray, g: np.ndarray, h: np.ndarray) -> FittedTree:
         """Grow and return a fitted tree.
@@ -819,14 +577,9 @@ class GradientTreeBuilder:
         values: list[float] = []
         bins: list[int] = []
 
-        if self.engine == "partition":
-            leaf_rows = self._grow_partition(
-                codes, g, h, features, thresholds, lefts, rights, values, bins
-            )
-        else:
-            leaf_rows = self._grow_legacy(
-                codes, g, h, features, thresholds, lefts, rights, values, bins
-            )
+        leaf_rows = self._grow_nodes(
+            codes, g, h, features, thresholds, lefts, rights, values, bins
+        )
 
         tree = FittedTree(
             feature=np.asarray(features, dtype=np.int32),
@@ -844,161 +597,8 @@ class GradientTreeBuilder:
             train_prediction=train_prediction,
         )
 
-    def _grow_legacy(
-        self, codes, g, h, features, thresholds, lefts, rights, values, bins
-    ) -> list[tuple[int, np.ndarray]]:
-        """The pre-fusion per-node engine (golden reference)."""
-        n = codes.shape[0]
-        # Exact compare is intentional: any feature subsampling at all
-        # consumes the rng per node, which the subtraction engine's reuse
-        # of histograms must not perturb on this engine's padded layout.
-        self._subtract = (
-            self.hist_subtraction
-            and self.colsample_bynode == 1.0  # anb: noqa[ANB003]
-        )
-        if self._subtract:
-            self._bmax = int(self._num_bins.max())
-            # Shared by _count_hist (child-histogram derivation): the codes
-            # matrix is gathered per node, never flattened or offset.
-            self._codes = codes
-            # The engine path always searches all features, so the
-            # bin-in-range mask is the same for every node of the build.
-            self._in_range = (
-                np.arange(self._bmax - 1)[None, :]
-                < (self._num_bins - 1)[:, None]
-            )
-        handles: dict[int, np.ndarray] = {}
-
-        def new_node(idx: np.ndarray) -> int:
-            node_id = len(features)
-            features.append(_NO_FEATURE)
-            thresholds.append(0.0)
-            lefts.append(-1)
-            rights.append(-1)
-            bins.append(-1)
-            values.append(self._leaf_value(float(g[idx].sum()), float(h[idx].sum())))
-            handles[node_id] = idx
-            return node_id
-
-        root_idx = np.arange(n)
-        root = new_node(root_idx)
-
-        if self.growth == "depthwise":
-            self._grow_depthwise(codes, g, h, root, root_idx, features, thresholds, lefts, rights, values, bins, new_node)
-        else:
-            self._grow_leafwise(codes, g, h, root, root_idx, features, thresholds, lefts, rights, values, bins, new_node)
-
-        return [
-            (node_id, handles[node_id])
-            for node_id in range(len(features))
-            if features[node_id] == _NO_FEATURE
-        ]
-
-    def _apply_split(
-        self, codes: np.ndarray, idx: np.ndarray, split: _Split
-    ) -> tuple[np.ndarray, np.ndarray]:
-        mask = codes[idx, split.feature] <= split.bin_idx
-        return idx[mask], idx[~mask]
-
-    def _child_hists(
-        self,
-        n_hist: np.ndarray | None,
-        left_idx: np.ndarray,
-        right_idx: np.ndarray,
-        child_depth: int,
-    ) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """Count histograms for the children of a just-split node.
-
-        The smaller child is histogrammed directly; the larger child's
-        histogram is the exact int64 difference parent − smaller.  Children
-        that can never be split (depth cap, sample floor) get ``None`` —
-        their histogram would go unused.
-        """
-        if n_hist is None:
-            return None, None
-        left_ok = self._eligible(left_idx, child_depth)
-        right_ok = self._eligible(right_idx, child_depth)
-        if not (left_ok or right_ok):
-            return None, None
-        if len(left_idx) <= len(right_idx):
-            small_idx, small_is_left = left_idx, True
-        else:
-            small_idx, small_is_left = right_idx, False
-        small = self._count_hist(small_idx)
-        large = n_hist - small
-        left_hist, right_hist = (
-            (small, large) if small_is_left else (large, small)
-        )
-        return (left_hist if left_ok else None, right_hist if right_ok else None)
-
-    def _grow_depthwise(
-        self, codes, g, h, root, root_idx, features, thresholds, lefts, rights, values, bins, new_node
-    ) -> None:
-        queue: deque[tuple[int, np.ndarray, int, np.ndarray | None]] = deque(
-            [(root, root_idx, 0, None)]
-        )
-        while queue:
-            node_id, idx, depth, n_hist = queue.popleft()
-            if not self._eligible(idx, depth):
-                continue
-            split, n_hist = self._best_split(codes, g, h, idx, n_hist)
-            if split is None:
-                continue
-            left_idx, right_idx = self._apply_split(codes, idx, split)
-            features[node_id] = split.feature
-            thresholds[node_id] = split.threshold
-            bins[node_id] = split.bin_idx
-            left_id, right_id = new_node(left_idx), new_node(right_idx)
-            lefts[node_id], rights[node_id] = left_id, right_id
-            left_hist, right_hist = self._child_hists(
-                n_hist, left_idx, right_idx, depth + 1
-            )
-            queue.append((left_id, left_idx, depth + 1, left_hist))
-            queue.append((right_id, right_idx, depth + 1, right_hist))
-
-    def _grow_leafwise(
-        self, codes, g, h, root, root_idx, features, thresholds, lefts, rights, values, bins, new_node
-    ) -> None:
-        leaf_cap = self.num_leaves if self.num_leaves is not None else 31
-        heap: list[tuple[float, int, int, np.ndarray, _Split, int, np.ndarray | None]] = []
-        counter = 0  # tie-breaker: heapq cannot compare ndarrays
-
-        def push(
-            node_id: int, idx: np.ndarray, depth: int, n_hist: np.ndarray | None
-        ) -> None:
-            nonlocal counter
-            if not self._eligible(idx, depth):
-                return
-            split, n_hist = self._best_split(codes, g, h, idx, n_hist)
-            if split is not None:
-                heapq.heappush(
-                    heap, (-split.gain, counter, node_id, idx, split, depth, n_hist)
-                )
-                counter += 1
-
-        push(root, root_idx, 0, None)
-        num_leaves = 1
-        while heap and num_leaves < leaf_cap:
-            _, _, node_id, idx, split, depth, n_hist = heapq.heappop(heap)
-            left_idx, right_idx = self._apply_split(codes, idx, split)
-            features[node_id] = split.feature
-            thresholds[node_id] = split.threshold
-            bins[node_id] = split.bin_idx
-            left_id, right_id = new_node(left_idx), new_node(right_idx)
-            lefts[node_id], rights[node_id] = left_id, right_id
-            num_leaves += 1
-            left_hist, right_hist = self._child_hists(
-                n_hist, left_idx, right_idx, depth + 1
-            )
-            push(left_id, left_idx, depth + 1, left_hist)
-            push(right_id, right_idx, depth + 1, right_hist)
-
-    # ------------------------------------------------------------------
-    # partition engine
-    # ------------------------------------------------------------------
-
-    def _eligible_m(self, m: int, depth: int) -> bool:
-        """Slice-based twin of :meth:`_eligible` (same predicate)."""
+    def _eligible(self, m: int, depth: int) -> bool:
+        """Whether a node of ``m`` rows at ``depth`` can be split."""
         if self.max_depth is not None and depth >= self.max_depth:
             return False
         return m >= 2 * self.min_child_samples
@@ -1045,8 +645,8 @@ class GradientTreeBuilder:
         # Split point b on feature j is only meaningful for b < num_bins(j)-1.
         self._split_ok = pos_bin < (nb[pos_feature] - 1)
         # Contiguous runs of equal-width features: prefix sums reshape each
-        # run to (features, width) and cumsum the last axis, reproducing
-        # the legacy per-feature cumsum summation order bit for bit.
+        # run to (features, width) and cumsum the last axis, so every
+        # feature's prefix sums accumulate left to right on their own.
         runs = []
         j = 0
         while j < k:
@@ -1085,9 +685,17 @@ class GradientTreeBuilder:
             "partition_bytes": 0,
         }
 
-    def _grow_partition(
+    def _grow_nodes(
         self, codes, g, h, features, thresholds, lefts, rights, values, bins
     ) -> list[tuple[int, np.ndarray]]:
+        """Grow the tree into the node lists.
+
+        Appends one entry per node to ``features`` … ``bins`` (leaves keep
+        ``_NO_FEATURE``) and returns ``(node_id, training rows)`` for every
+        leaf.  It is the only step the per-node reference grower in
+        ``tests/surrogates/tree_oracle.py`` overrides, so the split
+        mathematics, feature draws and tree assembly are shared with it.
+        """
         n = codes.shape[0]
         self._setup_partition(codes, g, h)
         spans: list[tuple[int, int]] = []
@@ -1130,12 +738,12 @@ class GradientTreeBuilder:
     def _make_child(
         self, start: int, stop: int, depth: int, new_node
     ) -> _PNode:
-        # The partitioned gradient slice holds the node's values in the
-        # same relative order as the legacy engine's ``g[idx]`` gather,
-        # so the pairwise sum is bit-identical.
+        # The partitioned gradient slice holds the node's values in
+        # ascending row order, the order of a ``g[idx]`` gather, so the
+        # pairwise sum is the same bits.
         g_sum = float(self._g_p[start:stop].sum())
         # Unit-hessian sums are exact integers under any summation order,
-        # so float(m) matches the legacy engine's h[idx].sum() bit for bit.
+        # so float(m) equals ``h[idx].sum()`` bit for bit.
         h_sum = (
             float(stop - start)
             if self._unit_hessian
@@ -1152,7 +760,7 @@ class GradientTreeBuilder:
         Row indices, offset codes and gradients (hessians too when they
         are not all ones) are compressed into reusable scratch buffers —
         left side then right side, preserving relative row order exactly
-        like the legacy ``idx[mask]`` / ``idx[~mask]`` gathers — and
+        like ``idx[mask]`` / ``idx[~mask]`` gathers — and
         copied back, so every node's data stays a contiguous block.
         """
         off = self._off_p
@@ -1164,8 +772,8 @@ class GradientTreeBuilder:
         part = self._rows[start:stop]
         gpart = self._g_p[start:stop]
         # ``take`` with precomputed ascending indices is a stable
-        # partition (exactly the legacy ``idx[mask]`` / ``idx[~mask]``
-        # order) and resolves ``nonzero`` once per side instead of once
+        # partition (exactly the ``idx[mask]`` / ``idx[~mask]`` order)
+        # and resolves ``nonzero`` once per side instead of once
         # per compressed array.
         left = np.nonzero(mask)[0]
         np.invert(mask, out=mask)
@@ -1199,7 +807,7 @@ class GradientTreeBuilder:
         accumulates every feature of every node at once; large nodes take
         one ``bincount`` per contiguous feature column.  Per (node,
         feature, bin) the addends arrive in increasing row order in both,
-        so every float sum is bit-identical across kernels and engines.
+        so every float sum is bit-identical across kernels.
         """
         S = len(recs)
         T = self._total_bins
@@ -1293,15 +901,15 @@ class GradientTreeBuilder:
         # The fused kernel's ``np.repeat`` weight temporary scales with the
         # *total* staged rows of the pass, so the crossover is resolved on
         # ``tm`` rather than the per-node mean.
-        mode = self._resolve_hist_mode(tm)
-        if mode == "bincount":
+        columns = tm >= _BINCOUNT_MIN_ROWS
+        if columns:
             result = self._pass_columns(tm, S, want_counts, g_cat, h_cat)
         else:
             result = self._pass_fused(tm, S, want_counts, g_cat, h_cat)
         if counts_direct is not None:
             result = (counts_direct, result[1], result[2])
         if want_grad:
-            key = "bincount_nodes" if mode == "bincount" else "fused_nodes"
+            key = "bincount_nodes" if columns else "fused_nodes"
             self._stats[key] += S
         return result
 
@@ -1374,7 +982,7 @@ class GradientTreeBuilder:
 
         Each run of equal-width features is reshaped to ``(..., nf, w)``
         and cumsummed over its last axis, so every feature's prefix sums
-        accumulate left to right exactly like the legacy per-row cumsum —
+        accumulate left to right exactly like a per-feature cumsum —
         never across a feature boundary.
         """
         out = np.empty_like(hist)
@@ -1428,10 +1036,11 @@ class GradientTreeBuilder:
         """Best split position of one node's gain row.
 
         With all features in play, the CSR row scans (feature asc, bin
-        asc) — the same lexicographic order as the legacy padded argmax,
-        so tied gains resolve to the same split.  With a feature draw, the
-        candidate positions are gathered in rng draw order first, exactly
-        like the legacy subsampled gain matrix.
+        asc) — the lexicographic order of an argmax over a padded
+        ``(feature, bin)`` gain matrix, so tied gains resolve to the same
+        split.  With a feature draw, the candidate positions are gathered
+        in rng draw order first, exactly like a gain matrix whose rows are
+        the drawn features.
         """
         if feats is None:
             pos = int(np.argmax(gains_row))
@@ -1484,8 +1093,7 @@ class GradientTreeBuilder:
         smaller siblings whose counts an eligible larger sibling needs —
         is accumulated directly in one shared pass.  Because these are
         full-feature histograms, subtraction stays exact under
-        ``colsample_bynode`` too (the legacy engine had to disable it
-        there).
+        ``colsample_bynode`` too.
         """
         direct: list[_PNode] = []
         seen: set[int] = set()
@@ -1513,7 +1121,7 @@ class GradientTreeBuilder:
         assert self.binner.thresholds_ is not None
         num_features = len(self._num_bins)
         k = self._off_p.shape[0]
-        if not self._eligible_m(root.stop - root.start, root.depth):
+        if not self._eligible(root.stop - root.start, root.depth):
             return [(root.node_id, self._rows[root.start : root.stop])]
         leaves: list[tuple[int, np.ndarray]] = []
         # Level compaction through double buffers: every level's surviving
@@ -1532,12 +1140,12 @@ class GradientTreeBuilder:
         level = [root]
         while level:
             # Feature draws consume the rng once per eligible node in BFS
-            # order — exactly the legacy queue's consumption sequence
+            # order — a node-at-a-time queue's consumption sequence
             # (``level`` holds eligible nodes only).
             draws = None
             if self.colsample_bynode < 1.0:
                 draws = [self._feature_subset(num_features) for _ in level]
-            if self.hist_subtraction and not self._binary:
+            if not self._binary:
                 counts = self._level_counts(level)
                 _, g_hist, h_hist = self._part_pass(level, False, True)
             else:
@@ -1565,7 +1173,7 @@ class GradientTreeBuilder:
             off_t = off_p.dtype.type
             max_d = self.max_depth
             mcs2 = 2 * self.min_child_samples
-            want_plan = self.hist_subtraction and not self._binary
+            want_plan = not self._binary
             code_bytes = k * off_p.itemsize
             gh_bytes = 8 if unit else 16
             moved = 0
@@ -1589,8 +1197,8 @@ class GradientTreeBuilder:
                 seg = slice(rec.start, rec.stop)
                 mask = off_p[feat, seg] <= off_t(starts[feat] + local_bin)
                 # ``take`` with ascending nonzero indices is a stable
-                # partition — the legacy ``idx[mask]`` / ``idx[~mask]``
-                # order exactly.
+                # partition — the ``idx[mask]`` / ``idx[~mask]`` order
+                # exactly.
                 left_idx = np.nonzero(mask)[0]
                 np.invert(mask, out=mask)
                 right_idx = np.nonzero(mask)[0]
@@ -1610,10 +1218,10 @@ class GradientTreeBuilder:
                         part.take(idx, out=rows_nxt[lo:hi])
                         gpart.take(idx, out=g_nxt[lo:hi])
                         # The taken slice holds the child's gradients in
-                        # the same relative order as the legacy engine's
-                        # ``g[idx]`` gather, so the pairwise sum is
-                        # bit-identical; unit-hessian sums are exact
-                        # integers under any order.
+                        # ascending row order, the order of a ``g[idx]``
+                        # gather, so the pairwise sum is the same bits;
+                        # unit-hessian sums are exact integers under any
+                        # order.
                         g_sum = float(radd(g_nxt[lo:hi]))
                         if unit:
                             h_sum = float(m_child)
@@ -1697,7 +1305,7 @@ class GradientTreeBuilder:
             recs = [
                 rec
                 for rec in cands
-                if self._eligible_m(rec.stop - rec.start, rec.depth)
+                if self._eligible(rec.stop - rec.start, rec.depth)
             ]
             if not recs:
                 return
@@ -1754,9 +1362,9 @@ class GradientTreeBuilder:
             right = self._make_child(mid, rec.stop, rec.depth + 1, new_node)
             lefts[node_id], rights[node_id] = left.node_id, right.node_id
             num_leaves += 1
-            if self.hist_subtraction and not self._binary:
-                left_ok = self._eligible_m(mid - rec.start, rec.depth + 1)
-                right_ok = self._eligible_m(rec.stop - mid, rec.depth + 1)
+            if not self._binary:
+                left_ok = self._eligible(mid - rec.start, rec.depth + 1)
+                right_ok = self._eligible(rec.stop - mid, rec.depth + 1)
                 if left_ok or right_ok:
                     small, large = (
                         (left, right)

@@ -235,6 +235,39 @@ class TestFailures:
         assert len(results) == 2
         assert all(isinstance(r, RuntimeError) for r in results)
 
+    def test_rejected_item_does_not_fail_its_batch_mates(self):
+        """A runner that rejects one arch fails only that arch's waiter;
+        the valid item coalesced with it still gets its own value."""
+        calls = []
+        batches = []
+
+        async def runner(device, metric, archs):
+            calls.append(list(archs))
+            if "bad" in archs:
+                raise ValueError("compute counts exceed int64")
+            return [float(len(a)) for a in archs]
+
+        async def main():
+            coal = Coalescer(
+                runner,
+                max_batch=2,
+                max_delay=60.0,
+                on_batch=lambda ctxs, start, dur, status: batches.append(
+                    (ctxs, status)
+                ),
+            )
+            return await asyncio.gather(
+                coal.query("good", "a100", "throughput", ctx="g"),
+                coal.query("bad", "a100", "throughput", ctx="b"),
+                return_exceptions=True,
+            )
+
+        good, bad = run(main())
+        assert good == 4.0
+        assert isinstance(bad, ValueError)
+        assert calls == [["good", "bad"], ["good"], ["bad"]]
+        assert batches == [(["g", "b"], "error"), (["g"], "ok"), (["b"], "error")]
+
     def test_close_flushes_pending_groups(self):
         runner = Runner()
 

@@ -200,6 +200,54 @@ class TestInputValidation:
 
         assert run(main()) == [400] * len(cases)
 
+    def test_hostile_query_does_not_fail_coalesced_valid_one(
+        self, serve_bench, arch_strings
+    ):
+        """An arch whose compute counts exceed int64 is rejected inside the
+        coalesced batch; the valid query batched with it still gets 200
+        and exactly the bytes it gets when queried alone."""
+        valid = {"arch": arch_strings[0], "device": "a100"}
+        hostile = {
+            "arch": "|".join(["e1k3L1" + "0" * 15 + "se0"] * 7),
+            "device": "a100",
+        }
+
+        async def exchange(port, payload):
+            import json
+
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            body = json.dumps(payload, sort_keys=True).encode()
+            writer.write(_render_request("POST", "/query", body, False))
+            await writer.drain()
+            status, _, data = await _read_response(reader)
+            writer.close()
+            return status, data
+
+        async def main():
+            server, task = await start_server(
+                serve_bench, max_batch=2, max_delay=5.0
+            )
+            try:
+                together = await asyncio.gather(
+                    exchange(server.port, hostile),
+                    exchange(server.port, valid),
+                )
+                stats = server.coalescer.stats()
+            finally:
+                await stop_server(server, task)
+            server, task = await start_server(serve_bench)
+            try:
+                alone = await exchange(server.port, valid)
+            finally:
+                await stop_server(server, task)
+            return together, stats, alone
+
+        (bad, good), stats, alone = run(main())
+        assert stats["flush_total"] == 1 and stats["items_total"] == 2
+        assert bad[0] == 400
+        assert good[0] == 200
+        assert good[1] == alone[1]
+
     def test_unknown_endpoint_and_method(self, serve_bench):
         async def main():
             server, task = await start_server(serve_bench)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.surrogate_fit import SurrogateFitter
+from repro.surrogates import make_surrogate
 from repro.surrogates.forest import RandomForestRegressor
 
 
@@ -69,8 +70,9 @@ class TestNJobsSweep:
 
     def test_n_jobs_not_in_artifact_surface(self):
         """The saved parameter surface must not record wall-clock knobs."""
-        for knob in ("n_jobs", "engine", "hist_mode"):
-            assert knob not in RandomForestRegressor._PARAM_NAMES
+        assert "n_jobs" not in RandomForestRegressor._PARAM_NAMES
+        with pytest.raises(TypeError, match="engine"):
+            make_surrogate("xgb", engine="legacy")
 
 
 class TestFitterParallelism:

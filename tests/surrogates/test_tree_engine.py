@@ -1,39 +1,41 @@
-"""Golden pins for the histogram-subtraction engine and shared-traversal
-predictors: every fast path must produce bit-identical trees/predictions."""
+"""Byte-identity pins for the tree engine and the shared-traversal predictors.
+
+``GradientTreeBuilder`` (the partition engine) must grow exactly the trees
+of ``OracleTreeBuilder`` (``tree_oracle.py``), the per-node reference
+grower with one flatten + ``bincount`` kernel and no count subtraction:
+the same node arrays, the same bin split points and the same leaf value
+for every training row, compared as bytes.
+
+The engine's kernel choice is forced by monkeypatching
+``repro.surrogates.tree._BINCOUNT_MIN_ROWS``: ``0`` sends every histogram
+pass to the per-column kernel, a huge value to the fused one.  Inputs:
+
+- ``onehot``: the Table-1 one-hot matrix (every feature binary, so counts
+  come from the staged buffer and nothing is subtracted);
+- ``mixed``: one-hot plus continuous global features (count subtraction
+  on, variable bin widths);
+- ``large``: 9000 continuous rows, so the default crossover runs the
+  per-column kernel on upper levels and the fused one below.
+"""
 
 import numpy as np
 import pytest
 
+import repro.surrogates.tree as tree_mod
+from repro.core.surrogate_fit import SurrogateFitter
+from repro.searchspace.features import FeatureEncoder
+from repro.surrogates import make_surrogate
 from repro.surrogates.forest import RandomForestRegressor
 from repro.surrogates.gbdt import XGBRegressor
+from repro.surrogates.lgb import LGBRegressor
 from repro.surrogates.tree import (
-    _BINCOUNT_MIN_ROWS,
     GradientTreeBuilder,
     HistogramBinner,
     TreeEnsemblePredictor,
 )
+from tests.surrogates.tree_oracle import OracleTreeBuilder
 
-
-@pytest.fixture(scope="module")
-def binned(xy_small):
-    X, y = xy_small
-    binner = HistogramBinner(max_bins=64).fit(X)
-    return binner, binner.transform(X), y
-
-
-def _build(binned, subtract, h=None, **kwargs):
-    binner, codes, y = binned
-    g = -np.asarray(y, dtype=np.float64)
-    if h is None:
-        h = np.ones_like(g)
-    builder = GradientTreeBuilder(
-        binner,
-        rng=np.random.default_rng(123),
-        hist_subtraction=subtract,
-        **kwargs,
-    )
-    return builder.build(codes, g=g, h=h)
-
+KERNELS = {"auto": None, "bincount": 0, "fused": 10**12}
 
 GROWTH_CONFIGS = [
     {"growth": "depthwise", "max_depth": 6},
@@ -42,140 +44,194 @@ GROWTH_CONFIGS = [
     {"growth": "leafwise", "max_depth": None, "num_leaves": 31},
     {"growth": "leafwise", "max_depth": 8, "num_leaves": 63},
 ]
+CONFIG_IDS = [str(c) for c in GROWTH_CONFIGS]
+
+
+def _binned(X, y, max_bins=64):
+    binner = HistogramBinner(max_bins=max_bins).fit(X)
+    return binner, binner.transform(X), np.asarray(y, dtype=np.float64)
+
+
+@pytest.fixture(scope="module")
+def binned(xy_small):
+    return _binned(*xy_small)
+
+
+@pytest.fixture(scope="module")
+def xy_mixed(small_acc_dataset):
+    X = FeatureEncoder("onehot+global").encode(small_acc_dataset.archs)
+    return X, small_acc_dataset.values
+
+
+@pytest.fixture(scope="module")
+def mixed(xy_mixed):
+    return _binned(*xy_mixed)
+
+
+@pytest.fixture(scope="module")
+def binary():
+    rng = np.random.default_rng(42)
+    X = (rng.uniform(size=(900, 24)) < 0.4).astype(np.float64)
+    y = X @ rng.normal(size=24) + 0.05 * rng.standard_normal(900)
+    return _binned(X, y)
+
+
+@pytest.fixture(scope="module")
+def large():
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((9000, 12))
+    y = X[:, 0] - 2.0 * X[:, 1] + 0.1 * rng.standard_normal(9000)
+    return _binned(X, y, max_bins=32)
+
+
+def _force_kernel(monkeypatch, kernel):
+    if KERNELS[kernel] is not None:
+        monkeypatch.setattr(tree_mod, "_BINCOUNT_MIN_ROWS", KERNELS[kernel])
+
+
+def _grow(builder_cls, data, h=None, **kwargs):
+    binner, codes, y = data
+    # Residuals of the mean, as in a first boosting round: raw ``-y`` on
+    # the accuracy targets (all ~0.7) has no positive-gain split at all.
+    g = y.mean() - y
+    builder = builder_cls(binner, rng=np.random.default_rng(123), **kwargs)
+    grown = builder.grow(codes, g, np.ones_like(g) if h is None else h)
+    return builder, grown
+
+
+def _assert_matches_oracle(data, h=None, **kwargs):
+    """Grow with the engine and the oracle; return the engine's builder."""
+    builder, part = _grow(GradientTreeBuilder, data, h, **kwargs)
+    _, oracle = _grow(OracleTreeBuilder, data, h, **kwargs)
+    assert part.tree.num_nodes > 1, "a stump pins nothing"
+    assert part.tree.to_dict() == oracle.tree.to_dict()
+    assert part.bins.tobytes() == oracle.bins.tobytes()
+    assert part.train_prediction.tobytes() == oracle.train_prediction.tobytes()
+    return builder
+
+
+def _hess(data):
+    return np.linspace(0.5, 2.0, len(data[2]))
+
+
+def _assert_ensembles_identical(fit, monkeypatch, X):
+    """Fit once with the engine and once with the oracle patched into the
+    ensemble modules; every tree and every prediction must match."""
+    engine = fit()
+    monkeypatch.setattr(
+        "repro.surrogates.gbdt.GradientTreeBuilder", OracleTreeBuilder
+    )
+    monkeypatch.setattr(
+        "repro.surrogates.forest.GradientTreeBuilder", OracleTreeBuilder
+    )
+    oracle = fit()
+    assert len(engine._trees) == len(oracle._trees)
+    for ta, tb in zip(engine._trees, oracle._trees):
+        assert ta.to_dict() == tb.to_dict()
+    assert np.array_equal(engine.predict(X), oracle.predict(X))
+
+
+class TestOracleMatrix:
+    """The whole input x hessian x growth x colsample x kernel matrix."""
+
+    @pytest.mark.parametrize("colsample", [1.0, 0.5])
+    @pytest.mark.parametrize("growth", ["depthwise", "leafwise"])
+    @pytest.mark.parametrize("hessian", ["unit", "varied"])
+    @pytest.mark.parametrize("data", ["mixed", "binary", "large"])
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_partition_matches_oracle(
+        self, request, monkeypatch, kernel, data, hessian, growth, colsample
+    ):
+        data = request.getfixturevalue(data)
+        _force_kernel(monkeypatch, kernel)
+        config = {"growth": growth, "colsample_bynode": colsample}
+        if growth == "depthwise":
+            config["max_depth"] = 8
+        else:
+            config.update(max_depth=None, num_leaves=31)
+        h = _hess(data) if hessian == "varied" else None
+        _assert_matches_oracle(data, h, **config)
 
 
 class TestHistogramSubtractionGolden:
-    @pytest.mark.parametrize(
-        "config", GROWTH_CONFIGS, ids=[str(c) for c in GROWTH_CONFIGS]
-    )
-    def test_trees_identical_engine_on_and_off(self, binned, config):
-        """The engine must change *nothing*: same splits, thresholds, values."""
-        on = _build(binned, True, **config)
-        off = _build(binned, False, **config)
-        assert on.to_dict() == off.to_dict()
+    """Mixed features: the engine derives counts as parent - sibling, the
+    oracle histograms every node directly."""
 
-    def test_non_unit_hessians_identical(self, binned):
-        _, codes, y = binned
-        h = np.linspace(0.5, 2.0, len(y))
-        on = _build(binned, True, h=h, max_depth=8)
-        off = _build(binned, False, h=h, max_depth=8)
-        assert on.to_dict() == off.to_dict()
+    @pytest.mark.parametrize("config", GROWTH_CONFIGS, ids=CONFIG_IDS)
+    def test_trees_identical_engine_on_and_off(self, mixed, config):
+        _assert_matches_oracle(mixed, **config)
 
-    def test_engine_self_gates_on_feature_subsampling(self, binned):
-        """colsample < 1 consumes rng per node; the engine must stand down
-        and leave results identical to the legacy path."""
-        on = _build(binned, True, colsample_bynode=0.5, max_depth=8)
-        off = _build(binned, False, colsample_bynode=0.5, max_depth=8)
-        assert on.to_dict() == off.to_dict()
+    def test_non_unit_hessians_identical(self, mixed):
+        _assert_matches_oracle(mixed, _hess(mixed), max_depth=8)
 
-    def test_wide_unbounded_tree_identical(self, binned):
-        """Deque-based BFS (O(n) frontier pops) grows the same tree the old
-        list-based queue did, even with no depth cap and tiny leaves."""
-        on = _build(binned, True, max_depth=None, min_child_samples=2)
-        off = _build(binned, False, max_depth=None, min_child_samples=2)
-        assert on.to_dict() == off.to_dict()
+    def test_engine_self_gates_on_feature_subsampling(self, mixed):
+        """Full-feature counts do not depend on the feature draw, so the
+        engine keeps subtracting under colsample while drawing the same
+        candidates, in the same rng order, as the oracle."""
+        builder = _assert_matches_oracle(
+            mixed, colsample_bynode=0.5, max_depth=8
+        )
+        assert builder._stats["subtracted_hists"] > 0
+
+    def test_wide_unbounded_tree_identical(self, mixed):
+        _assert_matches_oracle(mixed, max_depth=None, min_child_samples=2)
 
     @pytest.mark.parametrize("module", ["gbdt", "forest"])
     def test_ensemble_fits_identical_engine_on_and_off(
-        self, xy_small, monkeypatch, module
+        self, xy_mixed, monkeypatch, module
     ):
-        """Whole-ensemble fits pin the engine: forcing hist_subtraction=False
-        through the builder must leave every fitted tree byte-identical."""
-        X, y = xy_small
+        X, y = xy_mixed
 
-        class _LegacyBuilder(GradientTreeBuilder):
-            def __init__(self, *args, **kwargs):
-                kwargs["hist_subtraction"] = False
-                super().__init__(*args, **kwargs)
-
-        def fit_model():
+        def fit():
             if module == "gbdt":
                 return XGBRegressor(n_estimators=15, max_depth=6, seed=7).fit(
                     X, y
                 )
             return RandomForestRegressor(n_estimators=10, seed=3).fit(X, y)
 
-        fast = fit_model()
-        monkeypatch.setattr(
-            f"repro.surrogates.{module}.GradientTreeBuilder", _LegacyBuilder
-        )
-        legacy = fit_model()
-        fast_trees = fast.trees_ if module == "forest" else fast._trees
-        legacy_trees = legacy.trees_ if module == "forest" else legacy._trees
-        assert len(fast_trees) == len(legacy_trees)
-        for ta, tb in zip(fast_trees, legacy_trees):
-            assert ta.to_dict() == tb.to_dict()
-        assert np.array_equal(fast.predict(X), legacy.predict(X))
+        _assert_ensembles_identical(fit, monkeypatch, X)
 
 
 class TestPartitionEngineGolden:
-    """Tentpole pins: the histogram-native partition engine must grow
-    bit-identical trees to the legacy per-node engine for every growth
-    policy, sampling configuration and histogram kernel."""
+    """The one-hot Table-1 matrix: every feature binary, so the engine reads
+    counts off the staged buffer instead of running a count pass."""
 
-    @pytest.mark.parametrize(
-        "config", GROWTH_CONFIGS, ids=[str(c) for c in GROWTH_CONFIGS]
-    )
+    @pytest.mark.parametrize("config", GROWTH_CONFIGS, ids=CONFIG_IDS)
     def test_trees_identical_partition_vs_legacy(self, binned, config):
-        part = _build(binned, True, engine="partition", **config)
-        legacy = _build(binned, True, engine="legacy", **config)
-        assert part.to_dict() == legacy.to_dict()
+        _assert_matches_oracle(binned, **config)
 
     @pytest.mark.parametrize("growth", ["depthwise", "leafwise"])
     def test_feature_subsampling_identical(self, binned, growth):
-        """colsample consumes rng per node; both engines must draw the
-        same candidates in the same order."""
-        config = {"growth": growth, "max_depth": 8}
-        if growth == "leafwise":
-            config["num_leaves"] = 31
-        part = _build(binned, True, engine="partition",
-                      colsample_bynode=0.5, **config)
-        legacy = _build(binned, True, engine="legacy",
-                        colsample_bynode=0.5, **config)
-        assert part.to_dict() == legacy.to_dict()
+        _assert_matches_oracle(
+            binned, colsample_bynode=0.5, growth=growth, max_depth=8
+        )
 
     @pytest.mark.parametrize("growth", ["depthwise", "leafwise"])
     def test_non_unit_hessians_identical(self, binned, growth):
-        _, codes, y = binned
-        h = np.linspace(0.5, 2.0, len(y))
-        config = {"growth": growth, "max_depth": 8}
-        if growth == "leafwise":
-            config["num_leaves"] = 31
-        part = _build(binned, True, engine="partition", h=h, **config)
-        legacy = _build(binned, True, engine="legacy", h=h, **config)
-        assert part.to_dict() == legacy.to_dict()
+        _assert_matches_oracle(
+            binned, _hess(binned), growth=growth, max_depth=8
+        )
 
-    @pytest.mark.parametrize("mode", ["auto", "fused", "bincount", "repeat"])
-    def test_every_hist_mode_matches_legacy(self, binned, mode):
-        part = _build(binned, True, engine="partition", hist_mode=mode,
-                      max_depth=10)
-        legacy = _build(binned, True, engine="legacy", hist_mode="auto",
-                        max_depth=10)
-        assert part.to_dict() == legacy.to_dict()
+    @pytest.mark.parametrize("mode", ["auto", "bincount", "fused"])
+    def test_every_hist_mode_matches_legacy(self, large, monkeypatch, mode):
+        _force_kernel(monkeypatch, mode)
+        _assert_matches_oracle(large, max_depth=10)
 
-    def test_all_binary_features_identical(self):
-        """Pure one-hot matrices take the counts-from-staged-buffer path
-        (no bincount at all); it must not change a single split."""
-        rng = np.random.default_rng(42)
-        X = (rng.uniform(size=(900, 24)) < 0.4).astype(np.float64)
-        y = X @ rng.normal(size=24) + 0.05 * rng.standard_normal(900)
-        binner = HistogramBinner(max_bins=64).fit(X)
-        data = (binner, binner.transform(X), y)
+    def test_all_binary_features_identical(self, binary):
         for config in GROWTH_CONFIGS:
-            part = _build(data, True, engine="partition", **config)
-            legacy = _build(data, True, engine="legacy", **config)
-            assert part.to_dict() == legacy.to_dict()
+            builder = _assert_matches_oracle(binary, **config)
+            assert builder._stats["subtracted_hists"] == 0
 
-    def test_subtraction_off_identical(self, binned):
-        part = _build(binned, False, engine="partition", max_depth=10)
-        legacy = _build(binned, False, engine="legacy", max_depth=10)
-        assert part.to_dict() == legacy.to_dict()
+    def test_subtraction_off_identical(self, mixed):
+        """The oracle never subtracts; the engine must actually subtract on
+        this input for the comparison to pin the subtraction plan."""
+        builder = _assert_matches_oracle(mixed, max_depth=10)
+        assert builder._stats["subtracted_hists"] > 0
 
     @pytest.mark.parametrize("family", ["xgb", "lgb", "rf"])
-    def test_ensemble_fits_identical_across_engines(self, xy_small, family):
-        """Whole-ensemble pins through the public engine kwarg."""
-        from repro.surrogates import make_surrogate
-
+    def test_ensemble_fits_identical_across_engines(
+        self, xy_small, monkeypatch, family
+    ):
         X, y = xy_small
         params = {
             "xgb": dict(n_estimators=12, max_depth=5, subsample=0.8,
@@ -185,14 +241,34 @@ class TestPartitionEngineGolden:
             "rf": dict(n_estimators=8, max_depth=12, max_features=0.5,
                        seed=3),
         }[family]
-        part = make_surrogate(family, engine="partition", **params).fit(X, y)
-        legacy = make_surrogate(family, engine="legacy", **params).fit(X, y)
-        part_trees = part.trees_ if family == "rf" else part._trees
-        legacy_trees = legacy.trees_ if family == "rf" else legacy._trees
-        assert len(part_trees) == len(legacy_trees)
-        for ta, tb in zip(part_trees, legacy_trees):
-            assert ta.to_dict() == tb.to_dict()
-        assert np.array_equal(part.predict(X), legacy.predict(X))
+        _assert_ensembles_identical(
+            lambda: make_surrogate(family, **params).fit(X, y), monkeypatch, X
+        )
+
+
+class TestGrownRouting:
+    """The boosting loop never re-predicts floats: growth's training-row
+    leaf values and binned routing must equal ``FittedTree.predict`` on
+    the raw features, bit for bit, for build rows and held-out rows."""
+
+    @pytest.mark.parametrize("growth", ["depthwise", "leafwise"])
+    def test_routing_matches_float_predict(self, xy_mixed, mixed, growth):
+        X, _ = xy_mixed
+        binner, codes, y = mixed
+        build = np.arange(0, len(y), 3)
+        held_out = np.setdiff1d(np.arange(len(y)), build)
+        grown = GradientTreeBuilder(
+            binner, growth=growth, max_depth=8, rng=np.random.default_rng(1)
+        ).grow(codes[build], y[build].mean() - y[build], np.ones(len(build)))
+        assert grown.tree.num_nodes > 1
+        assert (
+            grown.train_prediction.tobytes()
+            == grown.tree.predict(X[build]).tobytes()
+        )
+        assert (
+            grown.predict_codes(codes[held_out]).tobytes()
+            == grown.tree.predict(X[held_out]).tobytes()
+        )
 
 
 class TestPerTreePrediction:
@@ -233,104 +309,74 @@ class TestPerTreePrediction:
 
 
 class TestBincountHistograms:
-    """Satellite pins: every histogram kernel — adaptive ``auto``, forced
-    per-feature ``bincount``, legacy flatten+``np.repeat`` — must grow
-    bit-identical trees."""
+    """The per-column ``bincount`` kernel forced on every pass must match
+    the oracle's flatten + ``np.repeat`` kernel bit for bit."""
 
-    def test_resolve_hist_mode(self, binned):
-        binner, _, _ = binned
-        # Partition engine (default): the flat small-pass kernel is the
-        # fused CSR single-pass; "repeat" aliases it as its successor.
-        auto = GradientTreeBuilder(binner, hist_mode="auto")
-        assert auto._resolve_hist_mode(_BINCOUNT_MIN_ROWS) == "bincount"
-        assert auto._resolve_hist_mode(_BINCOUNT_MIN_ROWS - 1) == "fused"
-        for forced in ("bincount", "fused"):
-            builder = GradientTreeBuilder(binner, hist_mode=forced)
-            assert builder._resolve_hist_mode(10**9) == forced
-            assert builder._resolve_hist_mode(1) == forced
-        aliased = GradientTreeBuilder(binner, hist_mode="repeat")
-        assert aliased._resolve_hist_mode(1) == "fused"
-        # Legacy engine keeps the historical flatten+repeat flat kernel.
-        auto_legacy = GradientTreeBuilder(
-            binner, hist_mode="auto", engine="legacy"
+    def test_resolve_hist_mode(self, mixed, monkeypatch):
+        """The kernel follows the staged rows of each pass and nothing else."""
+        n = len(mixed[2])
+        stats = {}
+        for threshold in (0, n, n + 1):
+            monkeypatch.setattr(tree_mod, "_BINCOUNT_MIN_ROWS", threshold)
+            builder, _ = _grow(GradientTreeBuilder, mixed, max_depth=6)
+            stats[threshold] = builder._stats
+        assert stats[0]["fused_nodes"] == 0
+        assert stats[0]["bincount_nodes"] > 0
+        # passes staging all n rows (the root's) cross, smaller ones do not
+        assert stats[n]["bincount_nodes"] > 0
+        assert stats[n]["fused_nodes"] > 0
+        assert stats[n + 1]["bincount_nodes"] == 0
+        assert stats[n + 1]["fused_nodes"] > 0
+
+    def test_auto_mode_crosses_threshold_identical(self, large):
+        """Passes over big nodes stage more than ``_BINCOUNT_MIN_ROWS`` rows
+        and run the column kernel; passes over small ones run the fused one."""
+        builder = _assert_matches_oracle(
+            large, growth="leafwise", max_depth=None, num_leaves=63
         )
-        assert auto_legacy._resolve_hist_mode(_BINCOUNT_MIN_ROWS) == "bincount"
-        assert auto_legacy._resolve_hist_mode(_BINCOUNT_MIN_ROWS - 1) == "repeat"
-        for forced in ("bincount", "repeat"):
-            builder = GradientTreeBuilder(
-                binner, hist_mode=forced, engine="legacy"
-            )
-            assert builder._resolve_hist_mode(10**9) == forced
-            assert builder._resolve_hist_mode(1) == forced
+        assert builder._stats["bincount_nodes"] > 0
+        assert builder._stats["fused_nodes"] > 0
 
-    def test_fused_mode_requires_partition_engine(self, binned):
-        binner, _, _ = binned
-        with pytest.raises(ValueError, match="fused"):
-            GradientTreeBuilder(binner, hist_mode="fused", engine="legacy")
+    @pytest.mark.parametrize("config", GROWTH_CONFIGS, ids=CONFIG_IDS)
+    def test_trees_identical_bincount_vs_repeat(
+        self, mixed, monkeypatch, config
+    ):
+        _force_kernel(monkeypatch, "bincount")
+        _assert_matches_oracle(mixed, **config)
 
-    def test_auto_mode_crosses_threshold_identical(self):
-        """With rows well above ``_BINCOUNT_MIN_ROWS`` the auto kernel runs
-        bincount on the tree's upper levels and the flat kernel on small
-        deep nodes — and must still match both forced modes bit for bit."""
-        rng = np.random.default_rng(11)
-        n = 2 * _BINCOUNT_MIN_ROWS + 512
-        X = rng.standard_normal((n, 12))
-        y = X[:, 0] - 2.0 * X[:, 1] + 0.1 * rng.standard_normal(n)
-        binner = HistogramBinner(max_bins=32).fit(X)
-        data = (binner, binner.transform(X), y)
-        trees = {
-            mode: _build(data, True, hist_mode=mode, max_depth=9)
-            for mode in ("auto", "bincount", "repeat")
-        }
-        assert trees["auto"].to_dict() == trees["repeat"].to_dict()
-        assert trees["auto"].to_dict() == trees["bincount"].to_dict()
+    def test_non_unit_hessians_identical(self, mixed, monkeypatch):
+        _force_kernel(monkeypatch, "bincount")
+        _assert_matches_oracle(mixed, _hess(mixed), max_depth=8)
 
-    @pytest.mark.parametrize(
-        "config", GROWTH_CONFIGS, ids=[str(c) for c in GROWTH_CONFIGS]
-    )
-    def test_trees_identical_bincount_vs_repeat(self, binned, config):
-        fast = _build(binned, True, hist_mode="bincount", **config)
-        legacy = _build(binned, True, hist_mode="repeat", **config)
-        assert fast.to_dict() == legacy.to_dict()
-
-    def test_non_unit_hessians_identical(self, binned):
-        _, codes, y = binned
-        h = np.linspace(0.5, 2.0, len(y))
-        fast = _build(binned, True, h=h, hist_mode="bincount", max_depth=8)
-        legacy = _build(binned, True, h=h, hist_mode="repeat", max_depth=8)
-        assert fast.to_dict() == legacy.to_dict()
-
-    def test_feature_subsampling_identical(self, binned):
-        fast = _build(
-            binned, True, hist_mode="bincount", colsample_bynode=0.5, max_depth=8
-        )
-        legacy = _build(
-            binned, True, hist_mode="repeat", colsample_bynode=0.5, max_depth=8
-        )
-        assert fast.to_dict() == legacy.to_dict()
+    def test_feature_subsampling_identical(self, mixed, monkeypatch):
+        _force_kernel(monkeypatch, "bincount")
+        _assert_matches_oracle(mixed, colsample_bynode=0.5, max_depth=8)
 
     def test_unknown_hist_mode_rejected(self, binned):
-        with pytest.raises(ValueError, match="hist_mode"):
-            _build(binned, True, hist_mode="turbo")
+        """Kernel and engine choice are not options of any constructor."""
+        binner = binned[0]
+        for knob, value in (
+            ("hist_mode", "bincount"),
+            ("hist_subtraction", False),
+            ("engine", "partition"),
+        ):
+            with pytest.raises(TypeError, match=knob):
+                GradientTreeBuilder(binner, **{knob: value})
+            for cls in (XGBRegressor, LGBRegressor, RandomForestRegressor,
+                        SurrogateFitter):
+                with pytest.raises(TypeError, match=knob):
+                    cls(**{knob: value})
 
     def test_ensemble_fits_identical_bincount_vs_repeat(
-        self, xy_small, monkeypatch
+        self, xy_mixed, monkeypatch
     ):
-        X, y = xy_small
-
-        class _RepeatBuilder(GradientTreeBuilder):
-            def __init__(self, *args, **kwargs):
-                kwargs["hist_mode"] = "repeat"
-                super().__init__(*args, **kwargs)
-
-        fast = XGBRegressor(n_estimators=15, max_depth=6, seed=7).fit(X, y)
-        monkeypatch.setattr(
-            "repro.surrogates.gbdt.GradientTreeBuilder", _RepeatBuilder
+        X, y = xy_mixed
+        _force_kernel(monkeypatch, "bincount")
+        _assert_ensembles_identical(
+            lambda: XGBRegressor(n_estimators=15, max_depth=6, seed=7).fit(X, y),
+            monkeypatch,
+            X,
         )
-        legacy = XGBRegressor(n_estimators=15, max_depth=6, seed=7).fit(X, y)
-        for ta, tb in zip(fast._trees, legacy._trees):
-            assert ta.to_dict() == tb.to_dict()
-        assert np.array_equal(fast.predict(X), legacy.predict(X))
 
 
 def _depth_by_python_walk(tree) -> int:
