@@ -225,6 +225,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         return 1
     for report in reports:
         print(f"{report.dataset:20s} {report.row()}")
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     bench.save(args.out)
     print(f"saved benchmark to {args.out}")
     return 0
@@ -307,8 +308,10 @@ def _cmd_collect(args: argparse.Namespace) -> int:
 
 
 def _load_bench(path: str) -> AccelNASBench:
+    # Eager: a damaged columnar store fails here, with a clean message,
+    # instead of at the first query.
     try:
-        return AccelNASBench.load(path)
+        return AccelNASBench.load(path, lazy=False)
     except ArtifactIntegrityError as exc:
         raise SystemExit(f"cannot load benchmark: {exc}") from exc
 

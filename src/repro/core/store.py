@@ -26,7 +26,9 @@ the storage layer behind ``AccelNASBench.save(format="columnar")``:
   ``store.mapped_bytes`` gauges via :mod:`repro.obs` (out of band, gated).
 
 Cheap structural checks (existence, declared dtype, byte size) run at map
-time; full sha256 verification of every shard is explicit — ``verify()`` /
+time, and tree node arrays are structure-checked when their model first
+loads (:meth:`~repro.surrogates.tree.TreeEnsemblePredictor.from_arrays`);
+full sha256 verification of every shard is explicit — ``verify()`` /
 ``python -m repro.cli verify`` — because hashing would fault in every page
 and defeat the lazy cold start.
 """

@@ -14,7 +14,7 @@ from repro.core.dataset import (
     collect_device_dataset,
     sample_dataset_archs,
 )
-from repro.core.surrogate_fit import FitReport, SurrogateFitter
+from repro.core.surrogate_fit import SurrogateFitter
 from repro.hwsim.registry import DEVICE_METRICS
 from repro.searchspace.mnasnet import ArchSpec
 from repro.trainsim.schemes import P_STAR, TrainingScheme
@@ -47,7 +47,6 @@ class ExperimentContext:
     _archs: list[ArchSpec] | None = field(default=None, repr=False)
     _datasets: dict[str, BenchmarkDataset] = field(default_factory=dict, repr=False)
     _benchmark: AccelNASBench | None = field(default=None, repr=False)
-    _reports: list[FitReport] | None = field(default=None, repr=False)
 
     @property
     def archs(self) -> list[ArchSpec]:
@@ -96,12 +95,10 @@ class ExperimentContext:
                     self.accuracy_dataset(), "xgb", features=features
                 )
                 perf_models = {}
-                reports = [acc_report]
                 for device, metric in self.device_targets():
                     report = fitter.fit(
                         self.device_dataset(device, metric), "xgb", features=features
                     )
-                    reports.append(report)
                     perf_models[(device, metric)] = report.model
                 self._benchmark = AccelNASBench(
                     accuracy_model=acc_report.model,
@@ -112,14 +109,7 @@ class ExperimentContext:
                         "scheme": self.scheme.to_dict(),
                     },
                 )
-                self._reports = reports
         return self._benchmark
-
-    def benchmark_reports(self) -> list[FitReport]:
-        """Fit reports of the cached benchmark's surrogates."""
-        self.benchmark()
-        assert self._reports is not None
-        return self._reports
 
 
 def format_table(headers: list[str], rows: list[list[str]]) -> str:

@@ -82,13 +82,3 @@ BASELINE_MODELS: tuple[BaselineModel, ...] = (
     MOBILENET_V3_LARGE,
     MNASNET_A1,
 )
-
-
-def get_baseline(name: str) -> BaselineModel:
-    """Look up a baseline by name; raise ``KeyError`` if unknown."""
-    for model in BASELINE_MODELS:
-        if model.name == name:
-            return model
-    raise KeyError(
-        f"unknown baseline {name!r}; known: {[m.name for m in BASELINE_MODELS]}"
-    )

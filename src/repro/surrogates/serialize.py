@@ -231,6 +231,7 @@ def regressor_from_arrays(
     model: Regressor = _CLASSES[kind](**spec["params"])
     scalars = spec.get("scalars", {})
     if isinstance(model, DecisionTreeRegressor):
+        TreeEnsemblePredictor.from_arrays(**arrays)  # structure check only
         model._tree = FlatTreeSequence(**arrays)[0]
     elif isinstance(model, RandomForestRegressor):
         model._predictor = TreeEnsemblePredictor.from_arrays(**arrays)

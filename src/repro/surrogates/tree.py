@@ -47,6 +47,67 @@ import repro.obs as obs
 from repro.surrogates.base import Regressor
 
 _NO_FEATURE = -1
+_ONE_ROOT = np.zeros(1, dtype=np.int64)
+
+
+def _route(X, roots, feature, threshold, left, right, width=None):
+    """Leaf index of every (row, tree) pair, shape ``(n, len(roots))``.
+
+    The module's one tree walk: an ``(n, n_trees)`` cursor matrix starts at
+    ``roots`` and moves one level per step (``x <= threshold`` goes left,
+    NaN right) until every cursor rests on a leaf.  Children sit after
+    their parent inside its tree (:func:`_check_structure`), so no walk
+    outlasts its tree.  ``X`` is read by one flat gather, so ``width`` (one
+    past the largest stored feature; from ``feature`` if not given) is
+    checked against its columns first: no index reads a neighbouring row.
+    """
+    n, d = X.shape
+    width = int(feature.max()) + 1 if width is None else width
+    if width > d:
+        raise IndexError(f"tree feature {width - 1} is out of bounds ({d} columns)")
+    flat = X.ravel()
+    row_start = np.arange(0, n * d, d, dtype=np.int64)[:, None]
+    idx = np.empty((n, len(roots)), dtype=np.int64)
+    idx[:] = roots
+    while True:
+        feat = feature[idx]
+        internal = feat != _NO_FEATURE
+        if not internal.any():
+            return idx
+        # Leaf cursors (feature -1) read some in-bounds cell and stay put.
+        go_left = flat[row_start + feat] <= threshold[idx]
+        idx = np.where(internal, np.where(go_left, left[idx], right[idx]), idx)
+
+
+def _check_structure(roots, feature, threshold, left, right, value) -> int:
+    """Validate predictor-layout node arrays; return their feature width.
+
+    ``roots`` must start at 0 and strictly increase below the node count;
+    every internal node needs ``feature >= 0`` and both children inside its
+    own tree at a larger index; every leaf needs ``-1`` children.  Fitted
+    ensembles always pass (the grower numbers children after parents), and
+    the rules bound every :func:`_route` walk.  Raises ``ValueError``.
+    """
+    m = len(feature)
+    if {len(threshold), len(left), len(right), len(value)} != {m}:
+        raise ValueError("tree node arrays differ in length")
+    bounds = np.append(roots, m)
+    sizes = np.diff(bounds)
+    if len(roots) == 0 or roots[0] != 0 or (sizes <= 0).any():
+        raise ValueError(f"tree roots must start at 0 and strictly increase below {m}")
+    tree_end = np.repeat(bounds[1:], sizes)
+    node = np.arange(m)
+    internal = feature != _NO_FEATURE
+    bad = internal & (feature < 0)
+    for child in (left, right):
+        bad |= np.where(internal, (child <= node) | (child >= tree_end), child != -1)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise ValueError(
+            f"malformed tree node {i}: feature {feature[i]}, children "
+            f"({left[i]}, {right[i]}), tree ends at {tree_end[i]}"
+        )
+    return int(feature.max()) + 1
 
 
 class HistogramBinner:
@@ -134,19 +195,11 @@ class FittedTree:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Route every row of ``X`` to its leaf value."""
-        X = np.asarray(X, dtype=np.float64)
-        n = X.shape[0]
-        idx = np.zeros(n, dtype=np.int64)
-        while True:
-            feat = self.feature[idx]
-            internal = feat != _NO_FEATURE
-            if not internal.any():
-                break
-            rows = np.nonzero(internal)[0]
-            f = feat[rows]
-            go_left = X[rows, f] <= self.threshold[idx[rows]]
-            idx[rows] = np.where(go_left, self.left[idx[rows]], self.right[idx[rows]])
-        return self.value[idx]
+        return self._walk(np.asarray(X, dtype=np.float64), self.threshold)
+
+    def _walk(self, X: np.ndarray, threshold: np.ndarray) -> np.ndarray:
+        leaves = _route(X, _ONE_ROOT, self.feature, threshold, self.left, self.right)
+        return self.value[leaves[:, 0]]
 
     def to_dict(self) -> dict:
         """JSON-friendly representation."""
@@ -193,29 +246,18 @@ class GrownTree:
     train_prediction: np.ndarray
 
     def predict_codes(self, codes: np.ndarray) -> np.ndarray:
-        """Route binned rows to leaf values (level-synchronous traversal)."""
-        tree = self.tree
-        n = codes.shape[0]
-        idx = np.zeros(n, dtype=np.int64)
-        while True:
-            feat = tree.feature[idx]
-            internal = feat != _NO_FEATURE
-            if not internal.any():
-                break
-            rows = np.nonzero(internal)[0]
-            sub = idx[rows]
-            go_left = codes[rows, feat[rows]] <= self.bins[sub]
-            idx[rows] = np.where(go_left, tree.left[sub], tree.right[sub])
-        return tree.value[idx]
+        """Route binned rows to leaf values (bins stand in for thresholds)."""
+        return self.tree._walk(codes, self.bins)
 
 
 class TreeEnsemblePredictor:
     """Traverse many trees simultaneously (fast single-row ensemble queries).
 
     Concatenates all member trees into flat arrays with global node offsets;
-    prediction advances an ``(n_rows, n_trees)`` cursor matrix level by level,
-    so the per-call Python overhead is O(max_depth) instead of O(n_trees).
-    Returns the *sum* of tree outputs (callers apply averaging/shrinkage).
+    prediction is one :func:`_route` walk over an ``(n_rows, n_trees)``
+    cursor matrix, so the per-call Python overhead is O(max_depth) instead
+    of O(n_trees).  Returns the *sum* of tree outputs (callers apply
+    averaging/shrinkage).
     """
 
     def __init__(self, trees: list[FittedTree]) -> None:
@@ -240,6 +282,7 @@ class TreeEnsemblePredictor:
         self._left = np.concatenate(lefts).astype(np.int64)
         self._right = np.concatenate(rights).astype(np.int64)
         self._value = np.concatenate(values)
+        self._width = int(self._feature.max()) + 1
         self.num_trees = len(trees)
 
     @classmethod
@@ -259,7 +302,8 @@ class TreeEnsemblePredictor:
         per-tree reconstruction or concatenation happens.  When the inputs
         are read-only memmaps of a columnar artifact store, the predictor
         operates on the mapped pages directly and N processes share one
-        page cache.
+        page cache.  Damaged node arrays fail :func:`_check_structure`
+        here (``ValueError``) instead of sending a walk round a cycle.
         """
         self = cls.__new__(cls)
         self._roots = np.asarray(roots, dtype=np.int64)
@@ -268,9 +312,8 @@ class TreeEnsemblePredictor:
         self._left = np.asarray(left, dtype=np.int64)
         self._right = np.asarray(right, dtype=np.int64)
         self._value = np.asarray(value, dtype=np.float64)
+        self._width = _check_structure(**self.as_arrays())
         self.num_trees = len(self._roots)
-        if self.num_trees == 0:
-            raise ValueError("need at least one tree")
         return self
 
     def as_arrays(self) -> dict[str, np.ndarray]:
@@ -290,45 +333,15 @@ class TreeEnsemblePredictor:
             "value": self._value,
         }
 
-    def predict_one_sum(self, x: np.ndarray) -> float:
-        """Sum of all tree predictions for a single feature vector.
-
-        Fast path for the benchmark's single-architecture queries: operates on
-        flat ``(n_trees,)`` cursors, avoiding the ``(n, n_trees)`` broadcast
-        copy and 2-D fancy indexing of :meth:`predict_sum`.  Bit-identical to
-        ``predict_sum(x[None])[0]``.
-        """
-        x = np.asarray(x, dtype=np.float64).ravel()
-        idx = self._roots
-        while True:
-            feat = self._feature[idx]
-            internal = feat != _NO_FEATURE
-            if not internal.any():
-                break
-            safe_feat = np.where(internal, feat, 0)
-            go_left = x[safe_feat] <= self._threshold[idx]
-            nxt = np.where(go_left, self._left[idx], self._right[idx])
-            idx = np.where(internal, nxt, idx)
-        return float(self._value[idx].sum())
+    def _leaves(self, X: np.ndarray) -> np.ndarray:
+        return _route(
+            np.asarray(X, dtype=np.float64), self._roots, self._feature,
+            self._threshold, self._left, self._right, self._width,
+        )
 
     def predict_sum(self, X: np.ndarray) -> np.ndarray:
         """Sum of all tree predictions per row of ``X``."""
-        X = np.asarray(X, dtype=np.float64)
-        n = X.shape[0]
-        if n == 1:
-            return np.asarray([self.predict_one_sum(X[0])])
-        idx = np.broadcast_to(self._roots, (n, self.num_trees)).copy()
-        rows = np.arange(n)[:, None]
-        while True:
-            feat = self._feature[idx]
-            internal = feat != _NO_FEATURE
-            if not internal.any():
-                break
-            safe_feat = np.where(internal, feat, 0)
-            go_left = X[rows, safe_feat] <= self._threshold[idx]
-            nxt = np.where(go_left, self._left[idx], self._right[idx])
-            idx = np.where(internal, nxt, idx)
-        return self._value[idx].sum(axis=1)
+        return self._value[self._leaves(X)].sum(axis=1)
 
     def predict_per_tree(self, X: np.ndarray) -> np.ndarray:
         """Every tree's prediction per row, shape ``(num_trees, n)``.
@@ -339,20 +352,7 @@ class TreeEnsemblePredictor:
         the same order as ``np.stack([t.predict(X) for t in trees])`` —
         bit-identical, not merely close.
         """
-        X = np.asarray(X, dtype=np.float64)
-        n = X.shape[0]
-        idx = np.broadcast_to(self._roots, (n, self.num_trees)).copy()
-        rows = np.arange(n)[:, None]
-        while True:
-            feat = self._feature[idx]
-            internal = feat != _NO_FEATURE
-            if not internal.any():
-                break
-            safe_feat = np.where(internal, feat, 0)
-            go_left = X[rows, safe_feat] <= self._threshold[idx]
-            nxt = np.where(go_left, self._left[idx], self._right[idx])
-            idx = np.where(internal, nxt, idx)
-        return np.ascontiguousarray(self._value[idx].T)
+        return np.ascontiguousarray(self._value[self._leaves(X)].T)
 
 
 class FlatTreeSequence(Sequence):
@@ -396,18 +396,12 @@ class FlatTreeSequence(Sequence):
             raise IndexError(i)
         if i not in self._cache:
             start = int(self._roots[i])
-            stop = (
-                int(self._roots[i + 1])
-                if i + 1 < len(self)
-                else len(self._feature)
-            )
+            stop = int(self._roots[i + 1]) if i + 1 < len(self) else len(self._feature)
             feature = np.asarray(self._feature[start:stop], dtype=np.int32)
             internal = feature != _NO_FEATURE
             self._cache[i] = FittedTree(
                 feature=feature,
-                threshold=np.asarray(
-                    self._threshold[start:stop], dtype=np.float64
-                ),
+                threshold=np.asarray(self._threshold[start:stop], dtype=np.float64),
                 left=np.where(
                     internal, self._left[start:stop] - start, -1
                 ).astype(np.int32),

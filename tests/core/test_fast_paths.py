@@ -119,18 +119,6 @@ class TestBatchedQueries:
 
 
 class TestEnsembleFastPath:
-    def test_single_row_matches_batched_predict_sum(self, small_bench, some_archs):
-        # The accuracy model wraps an rf whose predictor exposes both paths.
-        inner = small_bench._accuracy_model.base
-        inner.predict(small_bench.encoder.encode(some_archs[:2]))  # warm predictor
-        predictor = inner._predictor
-        X = small_bench.encoder.encode(some_archs[:12])
-        multi = predictor.predict_sum(X)
-        ones = np.asarray(
-            [predictor.predict_one_sum(X[i]) for i in range(X.shape[0])]
-        )
-        assert (multi == ones).all()
-
     def test_predict_dispatches_single_row(self, small_bench, some_archs):
         X = small_bench.encoder.encode(some_archs[:6])
         inner = small_bench._accuracy_model.base

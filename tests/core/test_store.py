@@ -8,6 +8,7 @@ shards, and every corruption mode must surface as an
 """
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -358,6 +359,96 @@ class TestIntegrity:
         with pytest.raises(ArtifactIntegrityError) as err:
             store.verify_artifact(bad)
         assert "sha256 mismatch" in err.value.reason
+
+
+def _tree_shards(path, model="accuracy"):
+    """The model's node arrays as writable memmaps of their shard files."""
+    manifest = store.BenchmarkStore.open(path).manifest
+    rels = manifest["models"][model]["arrays"]
+    return {
+        role: np.memmap(path / rels[role], dtype=ARRAY_DTYPES[role], mode="r+")
+        for role in ("roots", "feature", "left")
+    }
+
+
+def _internal_root(a):
+    """(tree, root node) of the first tree whose root is a split."""
+    for t, root in enumerate(a["roots"][:-1]):
+        if a["feature"][root] != -1:
+            return t, int(root)
+    raise AssertionError("no tree with an internal root")
+
+
+def _root_left_is_root(a):
+    _, root = _internal_root(a)
+    a["left"][root] = root
+
+
+def _child_past_tree_end(a):
+    t, root = _internal_root(a)
+    a["left"][root] = a["roots"][t + 1]
+
+
+def _feature_minus_two(a):
+    _, root = _internal_root(a)
+    a["feature"][root] = -2
+
+
+def _roots_not_increasing(a):
+    a["roots"][1], a["roots"][2] = a["roots"][2], a["roots"][1]
+
+
+TREE_FAULTS = {
+    "root_left_is_root": _root_left_is_root,
+    "child_past_tree_end": _child_past_tree_end,
+    "feature_minus_two": _feature_minus_two,
+    "roots_not_increasing": _roots_not_increasing,
+}
+
+
+class TestMalformedTrees:
+    """Damaged node arrays in an unverified store raise a named error when
+    the model first loads — never a hang, never a silent wrong answer.
+    The lazy query runs in a daemon thread, so a walk that cycles fails
+    the test instead of stalling the suite."""
+
+    @pytest.fixture(params=sorted(TREE_FAULTS))
+    def damaged(self, request, bench, tmp_path):
+        path = tmp_path / "bench.store"
+        bench.save(path, format="columnar")
+        arrays = _tree_shards(path)
+        TREE_FAULTS[request.param](arrays)
+        for array in arrays.values():
+            array.flush()
+        del arrays
+        return path
+
+    @staticmethod
+    def _assert_names_accuracy(exc):
+        assert isinstance(exc, ArtifactIntegrityError), repr(exc)
+        assert "'accuracy'" in exc.reason
+        assert "malformed tree node" in exc.reason or "tree roots" in exc.reason
+
+    def test_eager_load_raises(self, damaged):
+        with pytest.raises(ArtifactIntegrityError) as err:
+            AccelNASBench.load(damaged, lazy=False)
+        self._assert_names_accuracy(err.value)
+
+    def test_first_lazy_query_raises(self, damaged, some_archs):
+        bench = AccelNASBench.load(damaged)
+        outcome = {}
+
+        def query():
+            try:
+                outcome["value"] = bench.query_accuracy(some_archs[0])
+            except Exception as exc:
+                outcome["error"] = exc
+
+        worker = threading.Thread(target=query, daemon=True)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive(), "first query did not finish in 30 s"
+        self._assert_names_accuracy(outcome.get("error"))
 
 
 class TestDatasetStore:

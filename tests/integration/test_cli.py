@@ -1,18 +1,54 @@
 """CLI integration tests (tiny budgets, real artefacts)."""
 
 import json
+import threading
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.benchmark import AccelNASBench
+from repro.core.store import BenchmarkStore
 
 
 @pytest.fixture(scope="module")
 def bench_file(tmp_path_factory):
-    path = tmp_path_factory.mktemp("cli") / "anb.json"
+    # A directory that does not exist yet: build creates it.
+    path = tmp_path_factory.mktemp("cli") / "new" / "anb.json"
     code = main(["build", "--out", str(path), "--num-archs", "200"])
     assert code == 0
     return path
+
+
+def _packed_store(bench_file, path):
+    """``bench_file`` packed as a columnar store at ``path``."""
+    AccelNASBench.load(bench_file).save(path, format="columnar")
+    return path
+
+
+def _accuracy_shard(path, role):
+    manifest = BenchmarkStore.open(path).manifest
+    return manifest["models"]["accuracy"]["arrays"][role]
+
+
+def _query_exit_message(bench) -> str:
+    """The SystemExit message of ``query`` on ``bench`` (in a daemon
+    thread, so a query that never ends fails the test instead)."""
+    arch = "e1k3L1se1|e6k3L2se1|e6k5L2se1|e6k3L3se1|e6k5L3se1|e6k5L3se1|e6k3L1se1"
+    outcome = {}
+
+    def run():
+        try:
+            main(["query", "--bench", str(bench), "--arch", arch])
+        except (SystemExit, Exception) as exc:
+            outcome["exc"] = exc
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive(), f"query on {bench} did not finish"
+    assert isinstance(outcome.get("exc"), SystemExit), outcome
+    return str(outcome["exc"])
 
 
 class TestParser:
@@ -54,12 +90,26 @@ class TestCommands:
     ):
         corrupt = tmp_path / "corrupt.json"
         corrupt.write_text(bench_file.read_text().replace("0.7", "0.8", 1))
-        arch = "e1k3L1se1|e6k3L2se1|e6k5L2se1|e6k3L3se1|e6k5L3se1|e6k5L3se1|e6k3L1se1"
-        with pytest.raises(SystemExit) as excinfo:
-            main(["query", "--bench", str(corrupt), "--arch", arch])
-        message = str(excinfo.value)
-        assert "cannot load benchmark" in message
-        assert "sha256 mismatch" in message
+        # Columnar stores skip sha256 on load: a truncated shard and a
+        # cyclic tree must still fail at load, not at (or in) the query.
+        truncated = _packed_store(bench_file, tmp_path / "truncated.store")
+        value = truncated / _accuracy_shard(truncated, "value")
+        value.write_bytes(value.read_bytes()[:-16])
+        cyclic = _packed_store(bench_file, tmp_path / "cyclic.store")
+        left = np.memmap(
+            cyclic / _accuracy_shard(cyclic, "left"), dtype="<i8", mode="r+"
+        )
+        left[0] = 0  # the first root's left child is the root itself
+        left.flush()
+        del left
+        for bench, reason in (
+            (corrupt, "sha256 mismatch"),
+            (truncated, "truncated"),
+            (cyclic, "malformed model entry 'accuracy'"),
+        ):
+            message = _query_exit_message(bench)
+            assert "cannot load benchmark" in message
+            assert reason in message
 
     def test_search(self, bench_file, capsys):
         code = main(

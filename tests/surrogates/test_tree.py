@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.surrogates import make_surrogate
 from repro.surrogates.tree import (
     DecisionTreeRegressor,
     FittedTree,
@@ -13,6 +14,14 @@ from repro.surrogates.tree import (
     HistogramBinner,
     TreeEnsemblePredictor,
 )
+from tests.surrogates.tree_oracle import oracle_leaves
+
+ORACLE_FAMILIES = {
+    "xgb": dict(n_estimators=15, max_depth=4),
+    "lgb": dict(n_estimators=15, num_leaves=12),
+    "rf": dict(n_estimators=8, max_depth=7),
+    "dt": dict(max_depth=7),
+}
 
 
 class TestHistogramBinner:
@@ -184,6 +193,66 @@ class TestFittedTreeSerialization:
         assert np.array_equal(clone.predict(X), model.tree_.predict(X))
 
 
+class TestOracleWalk:
+    """Every prediction entry point routes like the scalar reference walk
+    of ``tree_oracle.oracle_leaves``, byte for byte, NaN included."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        rng = np.random.default_rng(5)
+        X = rng.uniform(size=(400, 6))
+        y = 3 * X[:, 0] + X[:, 1] ** 2 + 0.05 * rng.standard_normal(400)
+        query = rng.uniform(size=(400, 6))
+        query[::2, 0] = np.nan  # the most-split column; NaN routes right
+        return X, y, query
+
+    @pytest.mark.parametrize("rows", [1, 64, 400])
+    @pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
+    def test_entry_points_match_scalar_walk(self, data, family, rows):
+        X, y, query = data
+        Q = query[:rows]
+        params = ORACLE_FAMILIES[family]
+        if family == "dt":
+            trees = [DecisionTreeRegressor(**params).fit(X, y).tree_]
+        else:
+            trees = list(make_surrogate(family, **params).fit(X, y)._trees)
+        predictor = TreeEnsemblePredictor(trees)
+        a = predictor.as_arrays()
+        leaves = oracle_leaves(
+            Q, a["roots"], a["feature"], a["threshold"], a["left"], a["right"]
+        )
+        values = a["value"][leaves]
+        assert (
+            predictor.predict_sum(Q).tobytes()
+            == values.sum(axis=1).tobytes()
+        )
+        assert (
+            predictor.predict_per_tree(Q).tobytes()
+            == np.ascontiguousarray(values.T).tobytes()
+        )
+        for tree, column in zip(trees, values.T):
+            assert tree.predict(Q).tobytes() == column.tobytes()
+        # Binned routing: codes stand in for X, bin split points for
+        # thresholds.
+        binner = HistogramBinner().fit(X)
+        grown = GradientTreeBuilder(
+            binner,
+            growth="leafwise" if family == "lgb" else "depthwise",
+            max_depth=7,
+            rng=np.random.default_rng(2),
+        ).grow(binner.transform(X), y.mean() - y, np.ones(len(y)))
+        assert grown.tree.num_nodes > 1
+        codes = binner.transform(Q)
+        tree = grown.tree
+        code_leaves = oracle_leaves(
+            codes, [0], tree.feature, grown.bins, tree.left, tree.right
+        )
+        assert (
+            grown.predict_codes(codes).tobytes()
+            == tree.value[code_leaves[:, 0]].tobytes()
+        )
+
+
 class TestEnsemblePredictor:
     def test_matches_per_tree_sum(self, xy_small):
         X, y = xy_small
@@ -199,6 +268,22 @@ class TestEnsemblePredictor:
         with pytest.raises(ValueError):
             TreeEnsemblePredictor([])
 
+    def test_input_narrower_than_stored_features_raises(self, xy_small):
+        """The walk gathers rows flat, so a too-narrow ``X`` must raise
+        instead of reading the next row's cells."""
+        X, y = xy_small
+        tree = DecisionTreeRegressor(max_depth=6).fit(X, y).tree_
+        stacked = TreeEnsemblePredictor([tree, tree])
+        narrow = np.ascontiguousarray(X[:4, : int(tree.feature.max())])
+        for predict in (
+            stacked.predict_sum,
+            stacked.predict_per_tree,
+            tree.predict,
+            TreeEnsemblePredictor.from_arrays(**stacked.as_arrays()).predict_sum,
+        ):
+            with pytest.raises(IndexError, match="out of bounds"):
+                predict(narrow)
+
     def test_single_row_query(self, xy_small):
         X, y = xy_small
         tree = DecisionTreeRegressor(max_depth=4).fit(X, y).tree_
@@ -206,23 +291,3 @@ class TestEnsemblePredictor:
         single = stacked.predict_sum(X[:1])
         assert single.shape == (1,)
         assert single[0] == pytest.approx(2 * tree.predict(X[:1])[0])
-
-    def test_fast_path_matches_batched_rows(self, xy_small):
-        """predict_one_sum is bit-identical to the (n, n_trees) cursor path."""
-        X, y = xy_small
-        trees = [
-            DecisionTreeRegressor(max_depth=d, seed=d).fit(X, y).tree_
-            for d in (2, 3, 5)
-        ]
-        stacked = TreeEnsemblePredictor(trees)
-        batched = stacked.predict_sum(X)  # n > 1: takes the 2-D cursor path
-        ones = np.asarray([stacked.predict_one_sum(X[i]) for i in range(len(X))])
-        assert (batched == ones).all()
-
-    def test_fast_path_leaves_roots_untouched(self, xy_small):
-        X, y = xy_small
-        tree = DecisionTreeRegressor(max_depth=3).fit(X, y).tree_
-        stacked = TreeEnsemblePredictor([tree, tree, tree])
-        roots_before = stacked._roots.copy()
-        stacked.predict_one_sum(X[0])
-        assert (stacked._roots == roots_before).all()

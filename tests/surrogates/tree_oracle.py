@@ -12,6 +12,9 @@ step, so it shares the split mathematics (``_score``, ``_leaf_value``,
 difference between the two is therefore a difference in how the engine
 stages, accumulates or partitions rows — which the byte-identity tests in
 ``test_tree_engine.py`` rule out.
+
+:func:`oracle_leaves` is the routing reference: a per-row, per-tree scalar
+walk that the vectorised predictors are checked against in ``test_tree.py``.
 """
 
 from __future__ import annotations
@@ -152,3 +155,18 @@ class OracleTreeBuilder(GradientTreeBuilder):
             for node_id, rows in rows_of.items()
             if features[node_id] == _NO_FEATURE
         ]
+
+
+def oracle_leaves(X, roots, feature, threshold, left, right) -> np.ndarray:
+    """Leaf index of every (row, tree) pair by a scalar walk, ``(n, k)``.
+
+    ``x[f] <= t`` goes left, anything else (NaN included) goes right.
+    """
+    out = np.empty((len(X), len(roots)), dtype=np.int64)
+    for i, x in enumerate(X):
+        for j, node in enumerate(roots):
+            while feature[node] != _NO_FEATURE:
+                f = feature[node]
+                node = left[node] if x[f] <= threshold[node] else right[node]
+            out[i, j] = node
+    return out
