@@ -103,7 +103,12 @@ def regressor_to_dict(model: Regressor) -> dict:
 
 
 def regressor_from_dict(data: dict) -> Regressor:
-    """Reconstruct a fitted surrogate from :func:`regressor_to_dict` output."""
+    """Reconstruct a fitted surrogate from :func:`regressor_to_dict` output.
+
+    Tree models build their predictor here, so malformed node arrays raise
+    ``ValueError`` (:func:`~repro.surrogates.tree._check_structure`) at
+    load instead of at the first query.
+    """
     kind = data["kind"]
     if kind == "TransformedTargetRegressor":
         return TransformedTargetRegressor(
@@ -114,11 +119,12 @@ def regressor_from_dict(data: dict) -> Regressor:
     model = _CLASSES[kind](**data["params"])
     if isinstance(model, DecisionTreeRegressor):
         model._tree = FittedTree.from_dict(data["tree"])
-    elif isinstance(model, RandomForestRegressor):
+        TreeEnsemblePredictor([model._tree])  # structure check only
+    elif isinstance(model, (RandomForestRegressor, XGBRegressor)):
         model._trees = [FittedTree.from_dict(t) for t in data["trees"]]
-    elif isinstance(model, XGBRegressor):
-        model._trees = [FittedTree.from_dict(t) for t in data["trees"]]
-        model._base_score = data["base_score"]
+        model._predictor = TreeEnsemblePredictor(model._trees)
+        if isinstance(model, XGBRegressor):
+            model._base_score = data["base_score"]
     elif isinstance(model, EpsilonSVR):
         svr = data["svr"]
         model._beta = np.asarray(svr["beta"])

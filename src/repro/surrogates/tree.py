@@ -47,46 +47,55 @@ import repro.obs as obs
 from repro.surrogates.base import Regressor
 
 _NO_FEATURE = -1
+# Cursor cells per walk block: 93 rows of a 700-tree ensemble keep a block's
+# temporaries cache-sized; a one-tree walk of a few thousand rows is one block.
+CELLS = 1 << 16
 _ONE_ROOT = np.zeros(1, dtype=np.int64)
 
 
-def _route(X, roots, feature, threshold, left, right, width=None):
+def _route(X, roots, feature, threshold, left, width=None):
     """Leaf index of every (row, tree) pair, shape ``(n, len(roots))``.
 
-    The module's one tree walk: an ``(n, n_trees)`` cursor matrix starts at
-    ``roots`` and moves one level per step (``x <= threshold`` goes left,
-    NaN right) until every cursor rests on a leaf.  Children sit after
-    their parent inside its tree (:func:`_check_structure`), so no walk
-    outlasts its tree.  ``X`` is read by one flat gather, so ``width`` (one
-    past the largest stored feature; from ``feature`` if not given) is
-    checked against its columns first: no index reads a neighbouring row.
+    The module's one tree walk.  Per block of ``CELLS // n_trees`` rows, a
+    cursor matrix starts at ``roots`` and moves one level per step until
+    every cursor rests on a leaf: ``x <= threshold`` goes to ``left``, else
+    (NaN included) to the sibling ``left + 1``.  :func:`_check_structure`
+    enforces that adjacency and that children follow their parent inside
+    its tree, so no walk outlasts its tree.  ``width`` (one past the largest
+    stored feature) is checked against ``X``'s columns first, so the flat
+    gather of ``X`` never reads a neighbouring row.
     """
     n, d = X.shape
     width = int(feature.max()) + 1 if width is None else width
     if width > d:
         raise IndexError(f"tree feature {width - 1} is out of bounds ({d} columns)")
     flat = X.ravel()
-    row_start = np.arange(0, n * d, d, dtype=np.int64)[:, None]
-    idx = np.empty((n, len(roots)), dtype=np.int64)
-    idx[:] = roots
-    while True:
-        feat = feature[idx]
-        internal = feat != _NO_FEATURE
-        if not internal.any():
-            return idx
-        # Leaf cursors (feature -1) read some in-bounds cell and stay put.
-        go_left = flat[row_start + feat] <= threshold[idx]
-        idx = np.where(internal, np.where(go_left, left[idx], right[idx]), idx)
+    out = np.empty((n, len(roots)), dtype=np.int64)
+    step = max(1, CELLS // len(roots))
+    for start in range(0, n, step):
+        idx = out[start:start + step]
+        idx[:] = roots
+        row_start = np.arange(start, start + len(idx), dtype=np.int64)[:, None] * d
+        while True:
+            feat = feature[idx]
+            internal = feat != _NO_FEATURE
+            if not internal.any():
+                break
+            # Leaf cursors (feature -1) read some in-bounds cell and stay put.
+            go_right = ~(flat[row_start + feat] <= threshold[idx])
+            np.copyto(idx, left[idx] + go_right, where=internal)
+    return out
 
 
 def _check_structure(roots, feature, threshold, left, right, value) -> int:
     """Validate predictor-layout node arrays; return their feature width.
 
     ``roots`` must start at 0 and strictly increase below the node count;
-    every internal node needs ``feature >= 0`` and both children inside its
-    own tree at a larger index; every leaf needs ``-1`` children.  Fitted
-    ensembles always pass (the grower numbers children after parents), and
-    the rules bound every :func:`_route` walk.  Raises ``ValueError``.
+    every internal node needs ``feature >= 0``, both children inside its
+    own tree at a larger index and ``right == left + 1``; every leaf needs
+    ``-1`` children.  Fitted ensembles always pass (the grower creates a
+    split's two children back to back, after their parent), and the rules
+    bound every :func:`_route` walk.  Raises ``ValueError``.
     """
     m = len(feature)
     if {len(threshold), len(left), len(right), len(value)} != {m}:
@@ -98,7 +107,7 @@ def _check_structure(roots, feature, threshold, left, right, value) -> int:
     tree_end = np.repeat(bounds[1:], sizes)
     node = np.arange(m)
     internal = feature != _NO_FEATURE
-    bad = internal & (feature < 0)
+    bad = internal & ((feature < 0) | (right != left + 1))
     for child in (left, right):
         bad |= np.where(internal, (child <= node) | (child >= tree_end), child != -1)
     if bad.any():
@@ -198,7 +207,7 @@ class FittedTree:
         return self._walk(np.asarray(X, dtype=np.float64), self.threshold)
 
     def _walk(self, X: np.ndarray, threshold: np.ndarray) -> np.ndarray:
-        leaves = _route(X, _ONE_ROOT, self.feature, threshold, self.left, self.right)
+        leaves = _route(X, _ONE_ROOT, self.feature, threshold, self.left)
         return self.value[leaves[:, 0]]
 
     def to_dict(self) -> dict:
@@ -251,61 +260,52 @@ class GrownTree:
 
 
 class TreeEnsemblePredictor:
-    """Traverse many trees simultaneously (fast single-row ensemble queries).
+    """Traverse many trees simultaneously.
 
-    Concatenates all member trees into flat arrays with global node offsets;
-    prediction is one :func:`_route` walk over an ``(n_rows, n_trees)``
-    cursor matrix, so the per-call Python overhead is O(max_depth) instead
-    of O(n_trees).  Returns the *sum* of tree outputs (callers apply
-    averaging/shrinkage).
+    Concatenates all member trees into flat arrays with global node offsets
+    that pass :func:`_check_structure`, whether the trees were fitted, read
+    from JSON or mapped from a store.  Prediction is one :func:`_route`
+    walk over ``(rows, n_trees)`` cursor blocks, so the per-call Python
+    overhead is O(max_depth) per block instead of O(n_trees).  Returns the
+    *sum* of tree outputs (callers apply averaging/shrinkage).
     """
 
     def __init__(self, trees: list[FittedTree]) -> None:
         if not trees:
             raise ValueError("need at least one tree")
-        roots = []
-        offset = 0
-        feats, thresholds, lefts, rights, values = [], [], [], [], []
-        for tree in trees:
-            roots.append(offset)
-            feats.append(tree.feature)
-            thresholds.append(tree.threshold)
-            # Internal child pointers shift by the tree's offset; leaves keep -1.
-            internal = tree.feature != _NO_FEATURE
-            lefts.append(np.where(internal, tree.left + offset, -1))
-            rights.append(np.where(internal, tree.right + offset, -1))
-            values.append(tree.value)
-            offset += tree.num_nodes
-        self._roots = np.asarray(roots, dtype=np.int64)
-        self._feature = np.concatenate(feats)
-        self._threshold = np.concatenate(thresholds)
-        self._left = np.concatenate(lefts).astype(np.int64)
-        self._right = np.concatenate(rights).astype(np.int64)
-        self._value = np.concatenate(values)
-        self._width = int(self._feature.max()) + 1
-        self.num_trees = len(trees)
+        sizes = [tree.num_nodes for tree in trees]
+        roots = np.cumsum([0] + sizes[:-1])
+
+        def cat(key):
+            return np.concatenate([getattr(tree, key) for tree in trees])
+
+        feature = cat("feature")
+        internal = feature != _NO_FEATURE
+        # Internal child pointers shift by their tree's offset; leaves keep -1.
+        offset = np.repeat(roots, sizes)
+        self._adopt(
+            roots, feature, cat("threshold"),
+            np.where(internal, cat("left") + offset, -1),
+            np.where(internal, cat("right") + offset, -1), cat("value"),
+        )
 
     @classmethod
     def from_arrays(
-        cls,
-        roots: np.ndarray,
-        feature: np.ndarray,
-        threshold: np.ndarray,
-        left: np.ndarray,
-        right: np.ndarray,
-        value: np.ndarray,
+        cls, roots, feature, threshold, left, right, value
     ) -> "TreeEnsemblePredictor":
         """Construct directly from predictor-layout flat arrays (zero-copy).
 
         The arrays are exactly what :meth:`as_arrays` returns — children
-        already shifted to global node offsets, leaves at ``-1`` — so no
-        per-tree reconstruction or concatenation happens.  When the inputs
-        are read-only memmaps of a columnar artifact store, the predictor
-        operates on the mapped pages directly and N processes share one
-        page cache.  Damaged node arrays fail :func:`_check_structure`
-        here (``ValueError``) instead of sending a walk round a cycle.
+        already shifted to global node offsets, leaves at ``-1``.  When
+        they are read-only memmaps of a columnar artifact store, the
+        predictor walks the mapped pages and N processes share one cache.
         """
         self = cls.__new__(cls)
+        self._adopt(roots, feature, threshold, left, right, value)
+        return self
+
+    def _adopt(self, roots, feature, threshold, left, right, value) -> None:
+        # Damaged node arrays raise here, before any walk can cycle.
         self._roots = np.asarray(roots, dtype=np.int64)
         self._feature = np.asarray(feature, dtype=np.int32)
         self._threshold = np.asarray(threshold, dtype=np.float64)
@@ -314,7 +314,6 @@ class TreeEnsemblePredictor:
         self._value = np.asarray(value, dtype=np.float64)
         self._width = _check_structure(**self.as_arrays())
         self.num_trees = len(self._roots)
-        return self
 
     def as_arrays(self) -> dict[str, np.ndarray]:
         """The concatenated flat arrays in predictor layout.
@@ -336,7 +335,7 @@ class TreeEnsemblePredictor:
     def _leaves(self, X: np.ndarray) -> np.ndarray:
         return _route(
             np.asarray(X, dtype=np.float64), self._roots, self._feature,
-            self._threshold, self._left, self._right, self._width,
+            self._threshold, self._left, self._width,
         )
 
     def predict_sum(self, X: np.ndarray) -> np.ndarray:

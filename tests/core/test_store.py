@@ -13,9 +13,17 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.benchmark import AccelNASBench
+from repro.core.benchmark import (
+    BENCHMARK_SCHEMA,
+    BENCHMARK_SCHEMA_VERSION,
+    AccelNASBench,
+)
 from repro.core.dataset import BenchmarkDataset, sample_dataset_archs
-from repro.core.reliability import ArtifactIntegrityError, write_artifact
+from repro.core.reliability import (
+    ArtifactIntegrityError,
+    read_artifact,
+    write_artifact,
+)
 from repro.core import store
 from repro.surrogates import make_surrogate
 from repro.surrogates.serialize import (
@@ -367,7 +375,7 @@ def _tree_shards(path, model="accuracy"):
     rels = manifest["models"][model]["arrays"]
     return {
         role: np.memmap(path / rels[role], dtype=ARRAY_DTYPES[role], mode="r+")
-        for role in ("roots", "feature", "left")
+        for role in ("roots", "feature", "left", "right")
     }
 
 
@@ -398,11 +406,17 @@ def _roots_not_increasing(a):
     a["roots"][1], a["roots"][2] = a["roots"][2], a["roots"][1]
 
 
+def _siblings_swapped(a):
+    _, root = _internal_root(a)
+    a["left"][root], a["right"][root] = a["right"][root], a["left"][root]
+
+
 TREE_FAULTS = {
     "root_left_is_root": _root_left_is_root,
     "child_past_tree_end": _child_past_tree_end,
     "feature_minus_two": _feature_minus_two,
     "roots_not_increasing": _roots_not_increasing,
+    "siblings_swapped": _siblings_swapped,
 }
 
 
@@ -449,6 +463,65 @@ class TestMalformedTrees:
         worker.join(timeout=30)
         assert not worker.is_alive(), "first query did not finish in 30 s"
         self._assert_names_accuracy(outcome.get("error"))
+
+
+def _json_cyclic_root(tree):
+    tree["left"][0] = tree["right"][0] = 0
+
+
+def _json_feature_minus_two(tree):
+    tree["feature"][0] = -2
+
+
+def _json_siblings_swapped(tree):
+    tree["left"][0], tree["right"][0] = tree["right"][0], tree["left"][0]
+
+
+JSON_TREE_FAULTS = {
+    "cyclic_root": _json_cyclic_root,
+    "feature_minus_two": _json_feature_minus_two,
+    "siblings_swapped": _json_siblings_swapped,
+}
+
+
+class TestMalformedJsonTrees:
+    """The JSON twin of :class:`TestMalformedTrees`: a re-enveloped JSON
+    benchmark (valid sha256) whose accuracy model has a damaged internal
+    root fails at load with a named error.  Load and query run in a daemon
+    thread, so a walk that cycles fails the test instead of stalling the
+    suite."""
+
+    @pytest.fixture(params=sorted(JSON_TREE_FAULTS))
+    def damaged(self, request, saved, tmp_path):
+        payload = read_artifact(
+            saved[0], BENCHMARK_SCHEMA, BENCHMARK_SCHEMA_VERSION
+        )
+        model = payload["accuracy_model"]
+        model = model.get("base", model)
+        tree = next(t for t in model["trees"] if t["feature"][0] != -1)
+        JSON_TREE_FAULTS[request.param](tree)
+        path = tmp_path / "bench.json"
+        write_artifact(path, payload, BENCHMARK_SCHEMA, BENCHMARK_SCHEMA_VERSION)
+        return path
+
+    def test_load_raises(self, damaged, some_archs):
+        outcome = {}
+
+        def load_and_query():
+            try:
+                bench = AccelNASBench.load(damaged)
+                outcome["value"] = bench.query_accuracy(some_archs[0])
+            except Exception as exc:
+                outcome["error"] = exc
+
+        worker = threading.Thread(target=load_and_query, daemon=True)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive(), "load and query did not finish in 30 s"
+        exc = outcome.get("error")
+        assert isinstance(exc, ArtifactIntegrityError), repr(outcome)
+        assert "malformed benchmark payload" in exc.reason
+        assert "malformed tree node" in exc.reason
 
 
 class TestDatasetStore:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.surrogates import make_surrogate
+from repro.surrogates import tree as tree_module
 from repro.surrogates.tree import (
     DecisionTreeRegressor,
     FittedTree,
@@ -195,27 +196,42 @@ class TestFittedTreeSerialization:
 
 class TestOracleWalk:
     """Every prediction entry point routes like the scalar reference walk
-    of ``tree_oracle.oracle_leaves``, byte for byte, NaN included."""
+    of ``tree_oracle.oracle_leaves``, byte for byte, NaN included, at small
+    row counts and either side of the walk's block edges (``b`` rows per
+    block of ``tree.CELLS`` cursors)."""
 
     @pytest.fixture(scope="class")
     def data(self):
         rng = np.random.default_rng(5)
         X = rng.uniform(size=(400, 6))
         y = 3 * X[:, 0] + X[:, 1] ** 2 + 0.05 * rng.standard_normal(400)
-        query = rng.uniform(size=(400, 6))
+        # Enough rows for two one-tree blocks and one more.
+        query = rng.uniform(size=(2 * tree_module.CELLS + 1, 6))
         query[::2, 0] = np.nan  # the most-split column; NaN routes right
         return X, y, query
 
-    @pytest.mark.parametrize("rows", [1, 64, 400])
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            pytest.param(lambda b: 1, id="1"),
+            pytest.param(lambda b: 64, id="64"),
+            pytest.param(lambda b: 400, id="400"),
+            pytest.param(lambda b: b - 1, id="b-1"),
+            pytest.param(lambda b: b, id="b"),
+            pytest.param(lambda b: b + 1, id="b+1"),
+            pytest.param(lambda b: 2 * b + 1, id="2b+1"),
+        ],
+    )
     @pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
     def test_entry_points_match_scalar_walk(self, data, family, rows):
         X, y, query = data
-        Q = query[:rows]
         params = ORACLE_FAMILIES[family]
         if family == "dt":
             trees = [DecisionTreeRegressor(**params).fit(X, y).tree_]
         else:
             trees = list(make_surrogate(family, **params).fit(X, y)._trees)
+        b = max(1, tree_module.CELLS // len(trees))
+        Q = query[: rows(b)]
         predictor = TreeEnsemblePredictor(trees)
         a = predictor.as_arrays()
         leaves = oracle_leaves(
@@ -233,7 +249,8 @@ class TestOracleWalk:
         for tree, column in zip(trees, values.T):
             assert tree.predict(Q).tobytes() == column.tobytes()
         # Binned routing: codes stand in for X, bin split points for
-        # thresholds.
+        # thresholds.  One tree's block holds ``CELLS`` rows, so from
+        # ``b + 1`` rows on this walk is longer than one ensemble block.
         binner = HistogramBinner().fit(X)
         grown = GradientTreeBuilder(
             binner,

@@ -162,9 +162,14 @@ def oracle_leaves(X, roots, feature, threshold, left, right) -> np.ndarray:
 
     ``x[f] <= t`` goes left, anything else (NaN included) goes right.
     """
+    # Python scalars walk fast enough for rows past several walk blocks.
+    X, feature, threshold, left, right = (
+        np.asarray(a).tolist() for a in (X, feature, threshold, left, right)
+    )
     out = np.empty((len(X), len(roots)), dtype=np.int64)
     for i, x in enumerate(X):
         for j, node in enumerate(roots):
+            node = int(node)
             while feature[node] != _NO_FEATURE:
                 f = feature[node]
                 node = left[node] if x[f] <= threshold[node] else right[node]
