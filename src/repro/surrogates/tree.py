@@ -49,14 +49,14 @@ from repro.surrogates.base import Regressor
 _NO_FEATURE = -1
 # Cursor cells per walk block: 93 rows of a 700-tree ensemble keep a block's
 # temporaries cache-sized; a one-tree walk of a few thousand rows is one block.
-CELLS = 1 << 16
+_CELLS = 1 << 16
 _ONE_ROOT = np.zeros(1, dtype=np.int64)
 
 
 def _route(X, roots, feature, threshold, left, width=None):
     """Leaf index of every (row, tree) pair, shape ``(n, len(roots))``.
 
-    The module's one tree walk.  Per block of ``CELLS // n_trees`` rows, a
+    The module's one tree walk.  Per block of ``_CELLS // n_trees`` rows, a
     cursor matrix starts at ``roots`` and moves one level per step until
     every cursor rests on a leaf: ``x <= threshold`` goes to ``left``, else
     (NaN included) to the sibling ``left + 1``.  :func:`_check_structure`
@@ -71,7 +71,7 @@ def _route(X, roots, feature, threshold, left, width=None):
         raise IndexError(f"tree feature {width - 1} is out of bounds ({d} columns)")
     flat = X.ravel()
     out = np.empty((n, len(roots)), dtype=np.int64)
-    step = max(1, CELLS // len(roots))
+    step = max(1, _CELLS // len(roots))
     for start in range(0, n, step):
         idx = out[start:start + step]
         idx[:] = roots

@@ -198,7 +198,7 @@ class TestOracleWalk:
     """Every prediction entry point routes like the scalar reference walk
     of ``tree_oracle.oracle_leaves``, byte for byte, NaN included, at small
     row counts and either side of the walk's block edges (``b`` rows per
-    block of ``tree.CELLS`` cursors)."""
+    block of ``tree._CELLS`` cursors)."""
 
     @pytest.fixture(scope="class")
     def data(self):
@@ -206,7 +206,7 @@ class TestOracleWalk:
         X = rng.uniform(size=(400, 6))
         y = 3 * X[:, 0] + X[:, 1] ** 2 + 0.05 * rng.standard_normal(400)
         # Enough rows for two one-tree blocks and one more.
-        query = rng.uniform(size=(2 * tree_module.CELLS + 1, 6))
+        query = rng.uniform(size=(2 * tree_module._CELLS + 1, 6))
         query[::2, 0] = np.nan  # the most-split column; NaN routes right
         return X, y, query
 
@@ -230,7 +230,7 @@ class TestOracleWalk:
             trees = [DecisionTreeRegressor(**params).fit(X, y).tree_]
         else:
             trees = list(make_surrogate(family, **params).fit(X, y)._trees)
-        b = max(1, tree_module.CELLS // len(trees))
+        b = max(1, tree_module._CELLS // len(trees))
         Q = query[: rows(b)]
         predictor = TreeEnsemblePredictor(trees)
         a = predictor.as_arrays()
@@ -249,7 +249,7 @@ class TestOracleWalk:
         for tree, column in zip(trees, values.T):
             assert tree.predict(Q).tobytes() == column.tobytes()
         # Binned routing: codes stand in for X, bin split points for
-        # thresholds.  One tree's block holds ``CELLS`` rows, so from
+        # thresholds.  One tree's block holds ``_CELLS`` rows, so from
         # ``b + 1`` rows on this walk is longer than one ensemble block.
         binner = HistogramBinner().fit(X)
         grown = GradientTreeBuilder(
