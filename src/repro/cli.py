@@ -61,6 +61,8 @@ from repro.core.dataset import (
     sample_dataset_archs,
 )
 from repro.core.reliability import (
+    FAULT_KINDS,
+    SERVE_FAULT_KINDS,
     ArtifactIntegrityError,
     CollectionError,
     FaultPlan,
@@ -93,6 +95,13 @@ EXPERIMENTS = {
 }
 
 
+def _fault_plan(flag: str, text: str, seed: int, kinds) -> FaultPlan:
+    try:
+        return FaultPlan.from_string(text, seed=seed, kinds=kinds)
+    except ValueError as exc:
+        raise SystemExit(f"{flag}: {exc}") from exc
+
+
 def _reliability_kwargs(args: argparse.Namespace) -> dict:
     """Translate the shared fault-tolerance flags into collection kwargs."""
     retry_policy = (
@@ -101,7 +110,7 @@ def _reliability_kwargs(args: argparse.Namespace) -> dict:
         else None
     )
     fault_plan = (
-        FaultPlan.from_string(args.faults, seed=args.fault_seed)
+        _fault_plan("--faults", args.faults, args.fault_seed, FAULT_KINDS)
         if args.faults
         else None
     )
@@ -451,17 +460,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal
 
-    from repro.serve import BenchServer, DrillPlan, ServerConfig
+    from repro.serve import BenchServer, ServerConfig
     from repro.serve.lifecycle import BenchmarkHandle
 
-    handle = BenchmarkHandle.open(args.bench)
-    drills = (
-        DrillPlan.from_string(
-            args.drills, seed=args.drill_seed, slow_seconds=args.drill_slow
-        )
-        if args.drills
-        else DrillPlan()
+    drills = _fault_plan(
+        "--drills", args.drills or "", args.drill_seed, SERVE_FAULT_KINDS
     )
+    try:
+        handle = BenchmarkHandle.open(args.bench)
+    except ArtifactIntegrityError as exc:
+        raise SystemExit(f"cannot load benchmark: {exc}") from exc
     config = ServerConfig(
         host=args.host,
         port=args.port,
@@ -475,6 +483,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_size=args.cache_size,
         failure_threshold=args.failure_threshold,
         drills=drills,
+        drill_slow=args.drill_slow,
         trace_ring=args.trace_ring,
         trace_sample=args.trace_sample,
         trace_seed=args.trace_seed,

@@ -7,7 +7,9 @@ This module is the reliability layer that lets a collection run survive it:
 - :class:`FaultPlan` — *deterministic, seeded* fault injection (crash, NaN,
   inf, measurement timeout, outlier spike) that :class:`~repro.trainsim.trainer.
   SimulatedTrainer` and :class:`~repro.hwsim.measure.MeasurementHarness`
-  consult, so every robustness behaviour is testable and reproducible.
+  consult, so every robustness behaviour is testable and reproducible.  The
+  serving layer's drills (slow handler, surrogate error) are plans over
+  :data:`SERVE_FAULT_KINDS` in the same grammar.
 - :class:`RetryPolicy` — bounded attempts with exponential backoff and
   hash-seeded jitter; the sleep function is injectable so tests run
   deterministically and sleep-free.
@@ -47,6 +49,7 @@ import repro.obs as obs
 from repro.core.parallel import chunked_map
 
 FAULT_KINDS = ("crash", "nan", "inf", "timeout", "spike")
+SERVE_FAULT_KINDS = ("slow", "error")
 
 ARTIFACT_ENVELOPE_KEYS = ("payload", "schema", "schema_version", "sha256")
 
@@ -199,19 +202,26 @@ def _unit_uniform(*parts: object) -> float:
     return int.from_bytes(digest, "big") / 2.0**64
 
 
+def _check_kind(kind: str, kinds: Sequence[str]) -> None:
+    if kind not in kinds:
+        raise ValueError(f"unknown fault kind {kind!r}; expected one of {kinds}")
+
+
 @dataclass(frozen=True)
 class FaultSpec:
     """One kind of fault and when it fires.
 
     Attributes:
-        kind: One of :data:`FAULT_KINDS`.
+        kind: One of :data:`FAULT_KINDS` or :data:`SERVE_FAULT_KINDS`.
         rate: Per-attempt firing probability in [0, 1]; the draw is a hash
             of ``(plan seed, kind, key, attempt)``, so it is reproducible
             and independent across tasks and attempts.
         keys: If given, the fault only ever fires on these task keys.
         max_attempt: If given, the fault only fires on attempts strictly
             below this bound — a *transient* fault that retries determinably
-            cure.  ``None`` means every attempt is eligible.
+            cure.  ``None`` means every attempt is eligible.  For serve
+            drills the index is the request count per endpoint, so the
+            drill heals after the first N requests.
         spike_factor: Multiplier applied by ``spike`` faults.
     """
 
@@ -222,10 +232,7 @@ class FaultSpec:
     spike_factor: float = 25.0
 
     def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
-            raise ValueError(
-                f"unknown fault kind {self.kind!r}; expected one of {FAULT_KINDS}"
-            )
+        _check_kind(self.kind, FAULT_KINDS + SERVE_FAULT_KINDS)
         if not 0.0 <= self.rate <= 1.0:
             raise ValueError(f"fault rate must be in [0, 1], got {self.rate}")
         if self.max_attempt is not None and self.max_attempt < 1:
@@ -256,20 +263,45 @@ class FaultPlan:
     Identical plans make identical decisions across processes, platforms and
     thread schedules — every robustness behaviour in this repo is testable.
 
+    The serving layer asks per kind instead: :meth:`fires` decides each
+    kind separately at ``(endpoint, request index)``.
+
     Args:
         specs: Fault specs, evaluated in order (first firing wins).
         seed: Plan seed mixed into every firing decision.
+        kinds: The kinds this plan may hold — :data:`FAULT_KINDS` for
+            collection, :data:`SERVE_FAULT_KINDS` for serve drills.
     """
 
-    def __init__(self, specs: Sequence[FaultSpec] = (), seed: int = 0) -> None:
+    def __init__(
+        self,
+        specs: Sequence[FaultSpec] = (),
+        seed: int = 0,
+        kinds: Sequence[str] = FAULT_KINDS,
+    ) -> None:
         self.specs = tuple(specs)
+        for spec in self.specs:
+            _check_kind(spec.kind, tuple(kinds))
         self.seed = seed
 
     def __repr__(self) -> str:
         inner = ", ".join(
-            f"{s.kind}:{s.rate:g}" for s in self.specs
+            f"{s.kind}:{s.rate:g}"
+            + (f"@{s.max_attempt}" if s.max_attempt is not None else "")
+            for s in self.specs
         )
         return f"FaultPlan([{inner}], seed={self.seed})"
+
+    def fires(self, kind: str, key: str, index: int) -> bool:
+        """Whether a ``kind`` spec fires at (key, index), whatever the others do."""
+        for spec in self.specs:
+            if (
+                spec.kind == kind
+                and spec.eligible(key, index)
+                and _unit_uniform(self.seed, kind, key, index) < spec.rate
+            ):
+                return True
+        return False
 
     def fault_for(self, key: str, attempt: int = 0) -> FaultSpec | None:
         """The spec that fires for (key, attempt), or ``None``."""
@@ -303,11 +335,14 @@ class FaultPlan:
         return cls([FaultSpec("crash", rate=1.0, keys=frozenset(keys))], seed=seed)
 
     @classmethod
-    def from_string(cls, text: str, seed: int = 0) -> "FaultPlan":
+    def from_string(
+        cls, text: str, seed: int = 0, kinds: Sequence[str] = FAULT_KINDS
+    ) -> "FaultPlan":
         """Parse ``"kind:rate,kind:rate"`` (e.g. ``"nan:0.05,timeout:0.1"``).
 
         An optional ``@N`` suffix bounds the fault to attempts below N
-        (``"timeout:1.0@2"`` = time out the first two attempts, then heal).
+        (``"timeout:1.0@2"`` = time out the first two attempts, then heal;
+        ``"error:1.0@6"`` = fail an endpoint's first six requests).
         """
         specs = []
         for part in text.split(","):
@@ -315,14 +350,16 @@ class FaultPlan:
             if not part:
                 continue
             kind, _, rest = part.partition(":")
+            kind = kind.strip()
+            _check_kind(kind, tuple(kinds))
             rate_text, _, window = rest.partition("@")
             try:
                 rate = float(rate_text) if rate_text else 1.0
                 max_attempt = int(window) if window else None
             except ValueError as exc:
                 raise ValueError(f"bad fault spec {part!r}: {exc}") from exc
-            specs.append(FaultSpec(kind.strip(), rate=rate, max_attempt=max_attempt))
-        return cls(specs, seed=seed)
+            specs.append(FaultSpec(kind, rate=rate, max_attempt=max_attempt))
+        return cls(specs, seed=seed, kinds=kinds)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ influences a computed value, artifact byte or iteration order):
 - **structured logging** — :func:`get_logger` + :func:`configure` with
   key=value or JSON-lines formatting (``--log-level`` / ``--log-json``).
 - **metrics** — a thread-safe :class:`MetricsRegistry` of counters, gauges
-  and fixed-bucket histograms with :meth:`~MetricsRegistry.snapshot` and
-  JSONL export (``--metrics-out``).
+  and fixed-bucket :class:`QuantileSketch` histograms with
+  :meth:`~MetricsRegistry.snapshot` and JSONL export (``--metrics-out``).
 - **tracing** — :func:`span` nested spans over an injectable monotonic
   clock, exported as JSONL (``--trace-out``); :func:`timer` is the always-on
   wall-clock helper benchmarks use.
@@ -16,8 +16,10 @@ influences a computed value, artifact byte or iteration order):
 
 The v2 **live plane** layers on top (see ``docs/observability.md``):
 
-- **quantile sketches** — :class:`QuantileSketch` (P² estimators) and
-  :class:`WindowedQuantiles` (1m/5m sliding-window rings), recorded via
+- **quantile sketches** — :class:`QuantileSketch` (fixed-bound histogram
+  cells, quantiles interpolated inside a cell) and
+  :class:`WindowedQuantiles` (a cumulative sketch plus 1m/5m
+  sliding-window rings of them), recorded via
   :meth:`MetricsRegistry.observe_window`.
 - **exposition** — :mod:`repro.obs.expo` renders the registry as
   Prometheus text (``GET /metrics`` on serve; ``--prom-out`` on batch runs).
@@ -65,13 +67,12 @@ from repro.obs.log import (
 )
 from repro.obs.metrics import (
     DEFAULT_SECONDS_BUCKETS,
-    Histogram,
     MetricsRegistry,
     registry as metrics,
 )
 from repro.obs.progress import ProgressReporter
 from repro.obs.prof import SamplingProfiler, profile_for
-from repro.obs.sketch import DEFAULT_QUANTILES, P2Quantile, QuantileSketch
+from repro.obs.sketch import DEFAULT_QUANTILES, QuantileSketch
 from repro.obs.slo import SLOTracker
 from repro.obs.trace import (
     HeadSampler,
@@ -106,10 +107,8 @@ __all__ = [
     "LEVELS",
     "metrics",
     "MetricsRegistry",
-    "Histogram",
     "DEFAULT_SECONDS_BUCKETS",
     "DEFAULT_QUANTILES",
-    "P2Quantile",
     "QuantileSketch",
     "WindowedQuantiles",
     "RingCounter",

@@ -9,12 +9,12 @@ the format every Prometheus-compatible scraper speaks:
 - fixed-bucket histograms become ``anb_<name>_bucket{le="..."}`` series
   with cumulative counts, ``+Inf``, ``_sum`` and ``_count``,
 - windowed-quantile instruments (:mod:`repro.obs.window`) become
-  summaries: ``anb_<name>{quantile="0.99"}`` for the cumulative P²
-  estimates and ``anb_<name>{window="1m",quantile="0.99"}`` (plus
+  summaries: ``anb_<name>{quantile="0.99"}`` for the cumulative
+  interpolated quantiles and ``anb_<name>{window="1m",quantile="0.99"}`` (plus
   ``_count``/``_sum`` per window) for the sliding windows.
 
 Dotted internal names are sanitised to the Prometheus grammar
-(``serve.latency.query`` → ``anb_serve_latency_query``) and the original
+(``serve.requests.query`` → ``anb_serve_requests_query``) and the original
 name is kept as the ``# HELP`` text, so dashboards can map back.  Output
 is deterministic: names sorted, fixed sample order, shortest-round-trip
 float formatting.

@@ -4,8 +4,9 @@ A :class:`MetricsRegistry` is a named bag of three instrument kinds:
 
 - **counter** — monotonically increasing float (``collect.retries``)
 - **gauge** — last-write-wins float (``query.cache_hits``)
-- **histogram** — fixed, caller-supplied bucket upper bounds plus count and
-  sum (``surrogate.fit_seconds``); cumulative-bucket semantics on export.
+- **histogram** — a :class:`~repro.obs.sketch.QuantileSketch` over fixed,
+  caller-supplied bucket upper bounds, exported as bounds, per-bucket
+  counts, count and sum (``surrogate.fit_seconds``).
 
 All mutators take a single lock, so instruments can be bumped from
 ``chunked_map`` worker threads without losing increments.  The module-level
@@ -25,6 +26,7 @@ import json
 import threading
 from typing import Iterable, Sequence
 
+from repro.obs.sketch import QuantileSketch
 from repro.obs.window import WindowedQuantiles
 
 METRICS_SCHEMA = "anb-metrics"
@@ -44,41 +46,6 @@ DEFAULT_SECONDS_BUCKETS = (
 )
 
 
-class Histogram:
-    """Fixed-bucket histogram; bounds are upper edges, +inf is implicit."""
-
-    __slots__ = ("bounds", "bucket_counts", "count", "total")
-
-    def __init__(self, bounds: Sequence[float]) -> None:
-        bounds = tuple(float(b) for b in bounds)
-        if not bounds:
-            raise ValueError("histogram needs at least one bucket bound")
-        if list(bounds) != sorted(bounds):
-            raise ValueError("histogram bucket bounds must be sorted ascending")
-        self.bounds = bounds
-        self.bucket_counts = [0] * (len(bounds) + 1)
-        self.count = 0
-        self.total = 0.0
-
-    def observe(self, value: float) -> None:
-        idx = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                idx = i
-                break
-        self.bucket_counts[idx] += 1
-        self.count += 1
-        self.total += value
-
-    def as_dict(self) -> dict:
-        return {
-            "bounds": list(self.bounds),
-            "bucket_counts": list(self.bucket_counts),
-            "count": self.count,
-            "sum": self.total,
-        }
-
-
 class MetricsRegistry:
     """Named counters, gauges and histograms behind one lock."""
 
@@ -86,7 +53,7 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._counters: dict[str, float] = {}
         self._gauges: dict[str, float] = {}
-        self._histograms: dict[str, Histogram] = {}
+        self._histograms: dict[str, QuantileSketch] = {}
         self._windows: dict[str, WindowedQuantiles] = {}
 
     # -- mutators ---------------------------------------------------------
@@ -108,18 +75,22 @@ class MetricsRegistry:
         value: float,
         buckets: Sequence[float] = DEFAULT_SECONDS_BUCKETS,
     ) -> None:
-        """Record ``value`` into histogram ``name`` (created on first use)."""
+        """Record ``value`` into histogram ``name`` (created on first use).
+
+        ``buckets`` are the upper edges of a fresh histogram, strictly
+        ascending; an existing histogram keeps the edges it was made with.
+        """
         with self._lock:
             hist = self._histograms.get(name)
             if hist is None:
-                hist = Histogram(buckets)
+                hist = QuantileSketch(bounds=buckets)
                 self._histograms[name] = hist
             hist.observe(value)
 
     def observe_window(self, name: str, value: float) -> None:
         """Record ``value`` into the windowed-quantile instrument ``name``.
 
-        The instrument (cumulative P² sketch + 1m/5m sliding-window rings,
+        The instrument (cumulative sketch + 1m/5m sliding-window rings,
         see :class:`~repro.obs.window.WindowedQuantiles`) is created with
         default spans/bounds on first use; it reads the injectable obs
         clock, so windowed values are deterministic under a fake clock.

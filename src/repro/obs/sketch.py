@@ -1,28 +1,44 @@
-"""Deterministic streaming quantile sketches (the P² algorithm).
+"""Fixed-bound histograms with interpolated quantiles.
 
-:class:`P2Quantile` implements Jain & Chlamtac's piecewise-parabolic (P²)
-estimator: five markers track the running quantile of a stream in O(1)
-memory and O(1) time per observation, with no stored samples and no
-randomness — the estimate is a pure function of the observation sequence,
-which is what makes it safe inside this repository's determinism contract
-(same inputs ⇒ same telemetry snapshot bytes).
+:class:`QuantileSketch` is the one histogram type of :mod:`repro.obs`:
+strictly ascending upper-edge ``bounds`` (``+inf`` overflow implicit), one
+count per cell, and count/sum/min/max for the stream.  A quantile is read by
+linear interpolation inside the cell holding its rank, clamped to the
+observed min/max.  There is no randomness and no stored sample: a snapshot
+is a pure function of the observation sequence, which is what makes it
+safe inside this repository's determinism contract.  With few
+observations (n <= 5, say) the interpolated value is an estimate, not the
+exact order statistic.
 
-:class:`QuantileSketch` bundles several P² estimators (p50/p95/p99 by
-default) with count/sum/min/max so one instrument answers the questions a
-latency metric gets asked.  Sketches are **cumulative**; the sliding-window
-view lives in :mod:`repro.obs.window`, which aggregates bucketed histograms
-over a ring and reports windowed quantiles next to these whole-run ones.
+Two sketches with equal bounds merge cell by cell.  The sliding-window view
+(:mod:`repro.obs.window`) keeps one sketch per ring bucket and reads a
+window by merging the live ones; the metrics registry's histograms are
+sketches too, exported through :meth:`QuantileSketch.as_dict`.
 
-Both classes are stdlib-only and unlocked: callers that share a sketch
-across threads must serialise access (the metrics registry wraps them in
-its own lock).
+The class is stdlib-only and unlocked: callers that share a sketch across
+threads must serialise access (the metrics registry wraps them in its own
+lock).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Sequence
 
 DEFAULT_QUANTILES = (0.5, 0.95, 0.99)
+
+
+def _log_spaced_bounds() -> tuple[float, ...]:
+    """Default latency bounds: 5 per decade from 100 µs to 60 s."""
+    bounds = []
+    for exponent in range(-4, 2):
+        for mantissa in (1.0, 1.6, 2.5, 4.0, 6.3):
+            bounds.append(mantissa * 10.0**exponent)
+    bounds.append(60.0)
+    return tuple(sorted(round(b, 10) for b in bounds))
+
+
+DEFAULT_LATENCY_BOUNDS = _log_spaced_bounds()
 
 
 def quantile_key(q: float) -> str:
@@ -33,150 +49,84 @@ def quantile_key(q: float) -> str:
     return f"p{format(pct, 'g')}"
 
 
-class P2Quantile:
-    """One streaming quantile via the P² (piecewise-parabolic) algorithm.
-
-    Args:
-        q: Target quantile in (0, 1), e.g. 0.99.
-
-    The first five observations are stored exactly (and the estimate is the
-    exact order statistic while ``count <= 5``); from the sixth on, five
-    markers are adjusted per the P² recurrence — heights move by at most
-    one parabolic (or linear, at the edges) interpolation step per
-    observation.
-    """
-
-    __slots__ = ("q", "count", "_heights", "_positions", "_desired", "_rates")
-
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {q}")
-        self.q = float(q)
-        self.count = 0
-        self._heights: list[float] = []
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
-        self._rates = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-
-    def observe(self, value: float) -> None:
-        """Fold ``value`` into the estimate."""
-        value = float(value)
-        self.count += 1
-        heights = self._heights
-        if self.count <= 5:
-            heights.append(value)
-            heights.sort()
-            return
-
-        positions = self._positions
-        # Locate the marker cell the new value falls into and bump the
-        # extreme markers when the value extends the observed range.
-        if value < heights[0]:
-            heights[0] = value
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            cell = 3
-        else:
-            cell = 3
-            for i in range(1, 4):
-                if value < heights[i]:
-                    cell = i - 1
-                    break
-        for i in range(cell + 1, 5):
-            positions[i] += 1.0
-        desired = self._desired
-        for i in range(5):
-            desired[i] += self._rates[i]
-
-        # Adjust the three interior markers toward their desired positions.
-        for i in range(1, 4):
-            delta = desired[i] - positions[i]
-            if (delta >= 1.0 and positions[i + 1] - positions[i] > 1.0) or (
-                delta <= -1.0 and positions[i - 1] - positions[i] < -1.0
-            ):
-                step = 1.0 if delta >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
-                else:
-                    heights[i] = self._linear(i, step)
-                positions[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        return h[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step)
-            * (h[i + 1] - h[i])
-            / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step)
-            * (h[i] - h[i - 1])
-            / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        j = i + int(step)
-        return h[i] + step * (h[j] - h[i]) / (n[j] - n[i])
-
-    def value(self) -> float | None:
-        """Current estimate (exact order statistic while ``count <= 5``)."""
-        if self.count == 0:
-            return None
-        heights = self._heights
-        if self.count <= 5:
-            # Exact: nearest-rank interpolation over the sorted sample.
-            rank = self.q * (self.count - 1)
-            lo = int(rank)
-            hi = min(lo + 1, self.count - 1)
-            frac = rank - lo
-            return heights[lo] + (heights[hi] - heights[lo]) * frac
-        return heights[2]
-
-    def as_dict(self) -> dict:
-        """Snapshot: ``{"q": 0.99, "count": n, "value": estimate}``."""
-        return {"q": self.q, "count": self.count, "value": self.value()}
-
-
 class QuantileSketch:
-    """A bundle of P² estimators plus count/sum/min/max for one stream.
+    """A fixed-bound histogram of one stream, with interpolated quantiles.
 
     Args:
-        quantiles: Target quantiles, default ``(0.5, 0.95, 0.99)``.
+        bounds: Cell upper edges, strictly ascending; a value lands in the
+            first cell whose edge is ``>=`` it, and anything above the last
+            edge (or NaN) in the overflow cell.
+        quantiles: Quantiles reported by :meth:`snapshot`, each in (0, 1).
     """
 
-    __slots__ = ("quantiles", "count", "total", "min", "max", "_estimators")
+    __slots__ = ("bounds", "quantiles", "counts", "count", "total", "min", "max")
 
-    def __init__(self, quantiles: Sequence[float] = DEFAULT_QUANTILES) -> None:
+    def __init__(
+        self,
+        bounds: Sequence[float] = DEFAULT_LATENCY_BOUNDS,
+        quantiles: Sequence[float] = DEFAULT_QUANTILES,
+    ) -> None:
+        bounds = tuple(float(b) for b in bounds)
+        if not bounds or list(bounds) != sorted(set(bounds)):
+            raise ValueError("bounds must be non-empty and strictly ascending")
         quantiles = tuple(float(q) for q in quantiles)
         if not quantiles:
             raise ValueError("sketch needs at least one quantile")
         if list(quantiles) != sorted(set(quantiles)):
             raise ValueError("quantiles must be strictly ascending")
+        if not 0.0 < quantiles[0] <= quantiles[-1] < 1.0:
+            raise ValueError(f"quantiles must be in (0, 1), got {quantiles}")
+        self.bounds = bounds
         self.quantiles = quantiles
+        self.counts = [0] * (len(bounds) + 1)
         self.count = 0
         self.total = 0.0
         self.min: float | None = None
         self.max: float | None = None
-        self._estimators = [P2Quantile(q) for q in quantiles]
 
     def observe(self, value: float) -> None:
         value = float(value)
+        # NaN compares false against every edge: it lands in the overflow cell.
+        cell = bisect_left(self.bounds, value) if value == value else len(self.bounds)
+        self.counts[cell] += 1
         self.count += 1
         self.total += value
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        for estimator in self._estimators:
-            estimator.observe(value)
+
+    def merge(self, other: "QuantileSketch") -> None:
+        """Fold ``other`` (same bounds) into this sketch."""
+        if other.bounds != self.bounds:
+            raise ValueError("cannot merge sketches with different bounds")
+        for i, cell_count in enumerate(other.counts):
+            self.counts[i] += cell_count
+        self.count += other.count
+        self.total += other.total
+        if other.min is not None and (self.min is None or other.min < self.min):
+            self.min = other.min
+        if other.max is not None and (self.max is None or other.max > self.max):
+            self.max = other.max
 
     def quantile(self, q: float) -> float | None:
-        """The estimate for ``q`` (must be one of the configured quantiles)."""
-        for estimator in self._estimators:
-            if estimator.q == q:
-                return estimator.value()
-        raise KeyError(f"quantile {q} not tracked; have {self.quantiles}")
+        """Linear interpolation inside the cell holding rank ``q * count``."""
+        if self.count == 0:
+            return None
+        bounds = self.bounds
+        rank = q * self.count
+        seen = 0.0
+        for i, cell_count in enumerate(self.counts):
+            if cell_count == 0:
+                continue
+            if seen + cell_count >= rank:
+                lo_edge = bounds[i - 1] if i > 0 else 0.0
+                hi_edge = bounds[i] if i < len(bounds) else self.max
+                frac = (rank - seen) / cell_count
+                value = lo_edge + (hi_edge - lo_edge) * frac
+                return min(max(value, self.min), self.max)
+            seen += cell_count
+        return self.max
 
     def snapshot(self) -> dict:
         """Deterministic snapshot in the documented sketch-record shape."""
@@ -185,7 +135,14 @@ class QuantileSketch:
             "sum": self.total,
             "min": self.min,
             "max": self.max,
-            "quantiles": {
-                quantile_key(est.q): est.value() for est in self._estimators
-            },
+            "quantiles": {quantile_key(q): self.quantile(q) for q in self.quantiles},
+        }
+
+    def as_dict(self) -> dict:
+        """The cells in the histogram-record shape of the metrics export."""
+        return {
+            "bounds": list(self.bounds),
+            "bucket_counts": list(self.counts),
+            "count": self.count,
+            "sum": self.total,
         }

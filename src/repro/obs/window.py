@@ -1,23 +1,24 @@
 """Sliding-window aggregation rings for live quantiles and rates.
 
-Cumulative sketches (:mod:`repro.obs.sketch`) answer "what is p99 since the
-process started"; an operator staring at a latency regression needs "what
-is p99 *over the last minute*".  This module provides that view with two
-ring structures, both driven by the injectable obs clock
+A cumulative sketch (:mod:`repro.obs.sketch`) answers "what is p99 since
+the process started"; an operator staring at a latency regression needs
+"what is p99 *over the last minute*".  This module provides that view with
+two ring structures, both driven by the injectable obs clock
 (:func:`repro.obs.monotonic`) so every windowed value is deterministic
 under a fake clock:
 
-- :class:`WindowedQuantiles` — a ring of per-interval fixed-bound
-  histograms (log-spaced bounds).  ``observe`` lands the value in the
-  current time bucket; ``snapshot`` merges the buckets inside each
+- :class:`WindowedQuantiles` — one cumulative :class:`QuantileSketch` plus
+  a ring of per-interval sketches over the same bounds.  ``observe`` lands
+  the value in both; ``snapshot`` merges the ring buckets inside each
   configured window (1m/5m by default) and reports count/sum/min/max and
-  interpolated p50/p95/p99, next to the cumulative P² estimates.
+  interpolated p50/p95/p99 for the whole run and for every window.
 - :class:`RingCounter` — the same ring discipline over plain counters
   (the SLO tracker uses a pair for good/total rates).
 
 Stale buckets are recycled lazily: a bucket whose epoch is older than the
-ring span is reset the next time its slot is written or read, so an idle
-stream costs nothing and windowed values decay to empty on their own.
+ring span is replaced the next time its slot is written, and skipped when
+read, so an idle stream costs nothing and windowed values decay to empty
+on their own.
 """
 
 from __future__ import annotations
@@ -25,23 +26,14 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.obs import _state
-from repro.obs.sketch import DEFAULT_QUANTILES, QuantileSketch, quantile_key
+from repro.obs.sketch import (
+    DEFAULT_LATENCY_BOUNDS,
+    DEFAULT_QUANTILES,
+    QuantileSketch,
+)
 
 DEFAULT_WINDOWS = (60.0, 300.0)
 DEFAULT_BUCKET_SECONDS = 5.0
-
-
-def _log_spaced_bounds() -> tuple[float, ...]:
-    """Default latency bounds: 5 per decade from 100 µs to 60 s."""
-    bounds = []
-    for exponent in range(-4, 2):
-        for mantissa in (1.0, 1.6, 2.5, 4.0, 6.3):
-            bounds.append(mantissa * 10.0**exponent)
-    bounds.append(60.0)
-    return tuple(sorted(round(b, 10) for b in bounds))
-
-
-DEFAULT_LATENCY_BOUNDS = _log_spaced_bounds()
 
 
 def window_label(seconds: float) -> str:
@@ -51,48 +43,35 @@ def window_label(seconds: float) -> str:
     return f"{format(seconds, 'g')}s"
 
 
-class _Bucket:
-    __slots__ = ("epoch", "counts", "count", "total", "min", "max")
-
-    def __init__(self, cells: int) -> None:
-        self.epoch = -1
-        self.counts = [0] * cells
-        self.count = 0
-        self.total = 0.0
-        self.min: float | None = None
-        self.max: float | None = None
-
-    def reset(self, epoch: int) -> None:
-        self.epoch = epoch
-        for i in range(len(self.counts)):
-            self.counts[i] = 0
-        self.count = 0
-        self.total = 0.0
-        self.min = None
-        self.max = None
+def _ring_shape(
+    windows: Sequence[float], bucket_seconds: float
+) -> tuple[tuple[float, ...], float, int]:
+    """Validated ``(windows, bucket_seconds, ring slots)`` for a ring."""
+    windows = tuple(float(w) for w in windows)
+    if not windows or list(windows) != sorted(set(windows)):
+        raise ValueError("windows must be non-empty and strictly ascending")
+    if bucket_seconds <= 0:
+        raise ValueError("bucket_seconds must be > 0")
+    if any(w < bucket_seconds or w % bucket_seconds for w in windows):
+        raise ValueError(
+            "every window must be a positive multiple of bucket_seconds"
+        )
+    return windows, float(bucket_seconds), int(windows[-1] / bucket_seconds)
 
 
 class WindowedQuantiles:
-    """Cumulative P² quantiles plus sliding-window histogram quantiles.
+    """Cumulative plus sliding-window histogram quantiles of one stream.
 
     Args:
         windows: Window spans in seconds (ascending); the ring covers the
             largest.
         bucket_seconds: Ring bucket granularity.
-        bounds: Histogram upper edges used for windowed quantile
-            interpolation (ascending; +inf overflow is implicit).
-        quantiles: Quantiles reported for both the cumulative sketch and
-            every window.
+        bounds: Histogram upper edges used for quantile interpolation
+            (ascending; +inf overflow is implicit).
+        quantiles: Quantiles reported for the whole run and every window.
     """
 
-    __slots__ = (
-        "windows",
-        "bucket_seconds",
-        "bounds",
-        "quantiles",
-        "sketch",
-        "_ring",
-    )
+    __slots__ = ("windows", "bucket_seconds", "sketch", "_ring")
 
     def __init__(
         self,
@@ -101,59 +80,27 @@ class WindowedQuantiles:
         bounds: Sequence[float] = DEFAULT_LATENCY_BOUNDS,
         quantiles: Sequence[float] = DEFAULT_QUANTILES,
     ) -> None:
-        windows = tuple(float(w) for w in windows)
-        if not windows or list(windows) != sorted(set(windows)):
-            raise ValueError("windows must be non-empty and strictly ascending")
-        if bucket_seconds <= 0:
-            raise ValueError("bucket_seconds must be > 0")
-        if any(w < bucket_seconds or w % bucket_seconds for w in windows):
-            raise ValueError(
-                "every window must be a positive multiple of bucket_seconds"
-            )
-        bounds = tuple(float(b) for b in bounds)
-        if not bounds or list(bounds) != sorted(set(bounds)):
-            raise ValueError("bounds must be non-empty and strictly ascending")
-        self.windows = windows
-        self.bucket_seconds = float(bucket_seconds)
-        self.bounds = bounds
-        self.quantiles = tuple(float(q) for q in quantiles)
-        self.sketch = QuantileSketch(self.quantiles)
-        cells = len(bounds) + 1
-        slots = int(windows[-1] / bucket_seconds)
-        self._ring = [_Bucket(cells) for _ in range(slots)]
+        self.windows, self.bucket_seconds, slots = _ring_shape(
+            windows, bucket_seconds
+        )
+        self.sketch = QuantileSketch(bounds, quantiles)
+        self._ring: list[tuple[int, QuantileSketch | None]] = [(-1, None)] * slots
 
-    # ------------------------------------------------------------- recording
+    def _empty(self) -> QuantileSketch:
+        return QuantileSketch(self.sketch.bounds, self.sketch.quantiles)
 
     def observe(self, value: float, now: float | None = None) -> None:
         """Record ``value`` at time ``now`` (default: the obs clock)."""
-        value = float(value)
         if now is None:
             now = _state.monotonic()
         self.sketch.observe(value)
         epoch = int(now // self.bucket_seconds)
-        bucket = self._ring[epoch % len(self._ring)]
-        if bucket.epoch != epoch:
-            bucket.reset(epoch)
-        bucket.counts[self._cell(value)] += 1
-        bucket.count += 1
-        bucket.total += value
-        if bucket.min is None or value < bucket.min:
-            bucket.min = value
-        if bucket.max is None or value > bucket.max:
-            bucket.max = value
-
-    def _cell(self, value: float) -> int:
-        bounds = self.bounds
-        lo, hi = 0, len(bounds)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if value <= bounds[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
-    # --------------------------------------------------------------- reading
+        slot = epoch % len(self._ring)
+        bucket_epoch, bucket = self._ring[slot]
+        if bucket is None or bucket_epoch != epoch:
+            bucket = self._empty()
+            self._ring[slot] = (epoch, bucket)
+        bucket.observe(value)
 
     def window_snapshot(
         self, window_seconds: float, now: float | None = None
@@ -162,68 +109,12 @@ class WindowedQuantiles:
         if now is None:
             now = _state.monotonic()
         epoch = int(now // self.bucket_seconds)
-        span = int(window_seconds / self.bucket_seconds)
-        oldest = epoch - span + 1
-        counts = [0] * (len(self.bounds) + 1)
-        count = 0
-        total = 0.0
-        low: float | None = None
-        high: float | None = None
-        for bucket in self._ring:
-            if not oldest <= bucket.epoch <= epoch:
-                continue
-            for i, c in enumerate(bucket.counts):
-                counts[i] += c
-            count += bucket.count
-            total += bucket.total
-            if bucket.min is not None and (low is None or bucket.min < low):
-                low = bucket.min
-            if bucket.max is not None and (high is None or bucket.max > high):
-                high = bucket.max
-        quantiles = {
-            quantile_key(q): self._histogram_quantile(counts, count, q, low, high)
-            for q in self.quantiles
-        }
-        return {
-            "count": count,
-            "sum": total,
-            "min": low,
-            "max": high,
-            "quantiles": quantiles,
-        }
-
-    def _histogram_quantile(
-        self,
-        counts: list[int],
-        count: int,
-        q: float,
-        low: float | None,
-        high: float | None,
-    ) -> float | None:
-        """Linear interpolation inside the cell holding rank ``q * count``."""
-        if count == 0:
-            return None
-        rank = q * count
-        seen = 0.0
-        for i, cell_count in enumerate(counts):
-            if cell_count == 0:
-                continue
-            if seen + cell_count >= rank:
-                lo_edge = self.bounds[i - 1] if i > 0 else 0.0
-                hi_edge = (
-                    self.bounds[i]
-                    if i < len(self.bounds)
-                    else (high if high is not None else self.bounds[-1])
-                )
-                frac = (rank - seen) / cell_count
-                value = lo_edge + (hi_edge - lo_edge) * frac
-                if low is not None:
-                    value = max(value, low)
-                if high is not None:
-                    value = min(value, high)
-                return value
-            seen += cell_count
-        return high
+        oldest = epoch - int(window_seconds / self.bucket_seconds) + 1
+        merged = self._empty()
+        for bucket_epoch, bucket in self._ring:
+            if bucket is not None and oldest <= bucket_epoch <= epoch:
+                merged.merge(bucket)
+        return merged.snapshot()
 
     def snapshot(self, now: float | None = None) -> dict:
         """Cumulative sketch snapshot plus one entry per configured window."""
@@ -251,19 +142,10 @@ class RingCounter:
         windows: Sequence[float] = DEFAULT_WINDOWS,
         bucket_seconds: float = DEFAULT_BUCKET_SECONDS,
     ) -> None:
-        windows = tuple(float(w) for w in windows)
-        if not windows or list(windows) != sorted(set(windows)):
-            raise ValueError("windows must be non-empty and strictly ascending")
-        if bucket_seconds <= 0:
-            raise ValueError("bucket_seconds must be > 0")
-        if any(w < bucket_seconds or w % bucket_seconds for w in windows):
-            raise ValueError(
-                "every window must be a positive multiple of bucket_seconds"
-            )
-        self.windows = windows
-        self.bucket_seconds = float(bucket_seconds)
+        self.windows, self.bucket_seconds, slots = _ring_shape(
+            windows, bucket_seconds
+        )
         self.total = 0.0
-        slots = int(windows[-1] / bucket_seconds)
         self._epochs = [-1] * slots
         self._amounts = [0.0] * slots
 

@@ -32,13 +32,14 @@ with robustness as the headline:
   in-flight requests; ``/reload`` verifies the new artifact (full
   all-shards sweep), loads it off-loop, atomically swaps, rolls back on
   failure, and flips ``/readyz`` during the swap.
-- **out-of-band telemetry** — :mod:`repro.obs` latency histograms,
+- **out-of-band telemetry** — :mod:`repro.obs` request/status counters,
   queue-depth/shed/trip counters and coalesced-batch-size observations,
   all gated once on :func:`repro.obs.telemetry_active`; responses are
   byte-identical with telemetry on or off.
-- **fault drills** (:class:`~repro.serve.faults.DrillPlan`) — seeded,
-  deterministic injection of slow handlers and surrogate exceptions so
-  every robustness behaviour above is testable and reproducible.
+- **fault drills** (:mod:`repro.serve.faults`) — a seeded
+  :class:`~repro.core.reliability.FaultPlan` over the serve kinds injects
+  slow handlers and surrogate exceptions deterministically, so every
+  robustness behaviour above is testable and reproducible.
 
 Run it from the CLI::
 
@@ -53,7 +54,7 @@ or embed it::
 from repro.serve.admission import AdmissionGate, Overloaded
 from repro.serve.cache import ResponseCache
 from repro.serve.coalescer import Coalescer
-from repro.serve.faults import DrillPlan, DrillSpec, InjectedServeFault, truncate_shard
+from repro.serve.faults import InjectedServeFault, truncate_shard
 from repro.serve.http import (
     ClientConnection,
     ProtocolError,
@@ -71,8 +72,6 @@ __all__ = [
     "BenchmarkHandle",
     "ClientConnection",
     "Coalescer",
-    "DrillPlan",
-    "DrillSpec",
     "InjectedServeFault",
     "Overloaded",
     "ProtocolError",

@@ -1,22 +1,22 @@
 """Seeded fault drills for the serving layer.
 
 The collection pipeline proves its robustness with
-:class:`~repro.core.reliability.FaultPlan`; the serving layer gets the same
-treatment here.  A :class:`DrillPlan` is a deterministic schedule of
-injected serving faults, consulted once per ``(endpoint, request-index)``:
+:class:`~repro.core.reliability.FaultPlan`; the serving layer uses the same
+plan over :data:`~repro.core.reliability.SERVE_FAULT_KINDS`, consulted
+once per kind at ``(endpoint, request-index)`` via
+:meth:`~repro.core.reliability.FaultPlan.fires`:
 
-- ``slow`` — the handler sleeps ``slow_seconds`` before touching the
-  benchmark, driving deadline (504) and queue-pressure (429) behaviour.
-- ``error`` — the surrogate runner raises :class:`InjectedServeFault`,
-  driving 500 responses and circuit-breaker trips.
+- ``slow`` — the handler sleeps ``ServerConfig.drill_slow`` seconds before
+  touching the benchmark, driving deadline (504) and queue-pressure (429)
+  behaviour.
+- ``error`` — the request raises :class:`InjectedServeFault`, driving 500
+  responses and circuit-breaker trips.
 
-Decisions are hash-seeded from ``(seed, kind, endpoint, index)`` — the same
-:func:`~repro.core.reliability._unit_uniform` coin the fault plans use — so
+Decisions are hash-seeded from ``(seed, kind, endpoint, index)``, so
 identical plans produce identical drills on any machine or interleaving.
-The ``@N`` window in :meth:`DrillPlan.from_string` bounds a drill to the
-first N requests of an endpoint, which is how the CI smoke drill scripts
-"trip the breaker, then recover": ``error:1.0@6`` fails requests 0–5 and
-heals from request 6 on.
+The ``@N`` window bounds a drill to the first N requests of an endpoint,
+which is how the CI smoke drill scripts "trip the breaker, then recover":
+``error:1.0@6`` fails requests 0–5 and heals from request 6 on.
 
 :func:`truncate_shard` supports the reload-failure drill: it corrupts one
 shard of a *copy* of a columnar store so ``/reload`` must detect the damage
@@ -25,13 +25,9 @@ shard of a *copy* of a columnar store so ``/reload`` must detect the damage
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
-from repro.core.reliability import _unit_uniform
 from repro.core.store import MANIFEST_NAME
-
-DRILL_KINDS = ("slow", "error")
 
 
 class InjectedServeFault(RuntimeError):
@@ -43,110 +39,6 @@ class InjectedServeFault(RuntimeError):
         )
         self.endpoint = endpoint
         self.index = index
-
-
-@dataclass(frozen=True)
-class DrillSpec:
-    """One drill: ``kind`` fires with ``rate`` inside an optional window.
-
-    Attributes:
-        kind: ``slow`` or ``error``.
-        rate: Firing probability in [0, 1] per eligible request.
-        first_n: If set, only the first N requests per endpoint are
-            eligible — the drill then heals, letting recovery be observed.
-    """
-
-    kind: str
-    rate: float = 1.0
-    first_n: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in DRILL_KINDS:
-            raise ValueError(
-                f"unknown drill kind {self.kind!r}; expected one of "
-                f"{DRILL_KINDS}"
-            )
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValueError(f"drill rate must be in [0, 1], got {self.rate}")
-        if self.first_n is not None and self.first_n < 1:
-            raise ValueError("drill window (@N) must be >= 1")
-
-    def eligible(self, index: int) -> bool:
-        return self.first_n is None or index < self.first_n
-
-
-class DrillPlan:
-    """A seeded, deterministic schedule of serving-layer drills.
-
-    Args:
-        specs: Drill specs, evaluated in order (first firing wins per kind).
-        seed: Plan seed mixed into every firing decision.
-        slow_seconds: How long a firing ``slow`` drill stalls the handler.
-    """
-
-    def __init__(
-        self,
-        specs: tuple[DrillSpec, ...] | list[DrillSpec] = (),
-        seed: int = 0,
-        slow_seconds: float = 0.05,
-    ) -> None:
-        self.specs = tuple(specs)
-        self.seed = seed
-        self.slow_seconds = slow_seconds
-
-    def __repr__(self) -> str:
-        inner = ", ".join(
-            f"{s.kind}:{s.rate:g}"
-            + (f"@{s.first_n}" if s.first_n is not None else "")
-            for s in self.specs
-        )
-        return f"DrillPlan([{inner}], seed={self.seed})"
-
-    def __bool__(self) -> bool:
-        return bool(self.specs)
-
-    def _fires(self, kind: str, endpoint: str, index: int) -> bool:
-        for spec in self.specs:
-            if spec.kind != kind or not spec.eligible(index):
-                continue
-            if _unit_uniform(self.seed, kind, endpoint, index) < spec.rate:
-                return True
-        return False
-
-    def delay_for(self, endpoint: str, index: int) -> float:
-        """Injected handler stall in seconds (0.0 when no slow drill fires)."""
-        if self._fires("slow", endpoint, index):
-            return self.slow_seconds
-        return 0.0
-
-    def check(self, endpoint: str, index: int) -> None:
-        """Raise :class:`InjectedServeFault` if an error drill fires."""
-        if self._fires("error", endpoint, index):
-            raise InjectedServeFault(endpoint, index)
-
-    @classmethod
-    def from_string(
-        cls, text: str, seed: int = 0, slow_seconds: float = 0.05
-    ) -> "DrillPlan":
-        """Parse ``"kind:rate@N,kind:rate"`` (e.g. ``"error:1.0@6,slow:0.2"``).
-
-        Mirrors :meth:`FaultPlan.from_string`, but the ``@N`` window counts
-        *requests per endpoint* rather than retry attempts.
-        """
-        specs = []
-        for part in text.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            kind, _, rest = part.partition(":")
-            rate_text, _, window = rest.partition("@")
-            try:
-                rate = float(rate_text) if rate_text else 1.0
-                first_n = int(window) if window else None
-            except ValueError as exc:
-                raise ValueError(f"bad drill spec {part!r}: {exc}") from exc
-            specs.append(DrillSpec(kind.strip(), rate=rate, first_n=first_n))
-        return cls(specs, seed=seed, slow_seconds=slow_seconds)
 
 
 def truncate_shard(store_path: str | Path, drop_bytes: int = 16) -> str:

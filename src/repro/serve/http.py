@@ -123,10 +123,14 @@ async def read_request(
             transfer encoding (501), or over-limit headers (431) / body
             (413).
     """
+    # readline raises ValueError on a line longer than the stream's buffer
+    # limit (64 KiB by default): an over-long line, answered with 431.
     try:
         line = await reader.readline()
     except (ConnectionResetError, asyncio.IncompleteReadError):
         return None
+    except ValueError as exc:
+        raise ProtocolError(431, "request line too long") from exc
     if not line:
         return None
     if len(line) > MAX_REQUEST_LINE:
@@ -139,7 +143,10 @@ async def read_request(
     headers: dict[str, str] = {}
     total = 0
     while True:
-        raw = await reader.readline()
+        try:
+            raw = await reader.readline()
+        except ValueError as exc:
+            raise ProtocolError(431, "headers exceed the configured limit") from exc
         if not raw:
             raise ProtocolError(400, "connection closed inside headers")
         total += len(raw)

@@ -58,12 +58,13 @@ from repro.core.reliability import (
     CircuitOpen,
     Deadline,
     DeadlineExceeded,
+    FaultPlan,
     RetryPolicy,
 )
 from repro.searchspace import ArchSpec
 from repro.serve.admission import AdmissionGate, Overloaded
 from repro.serve.coalescer import Coalescer
-from repro.serve.faults import DrillPlan
+from repro.serve.faults import InjectedServeFault
 from repro.serve.http import (
     ProtocolError,
     Request,
@@ -99,7 +100,9 @@ class ServerConfig:
             circuit breaker.
         breaker_recovery: Cooldown schedule for tripped breakers; defaults
             to 0.1 s doubling up to 5 s (seeded-deterministic probes).
-        drills: Optional seeded fault-drill plan.
+        drills: Optional seeded fault-drill plan over
+            :data:`~repro.core.reliability.SERVE_FAULT_KINDS`.
+        drill_slow: Handler stall, in seconds, when a ``slow`` drill fires.
         clock: Injectable monotonic clock for deadlines and breakers.
         trace_ring: Capacity of the in-memory span ring behind ``/tracez``
             (0 disables request tracing entirely).
@@ -132,7 +135,8 @@ class ServerConfig:
             base_delay=0.1, backoff=2.0, max_delay=5.0
         )
     )
-    drills: DrillPlan = field(default_factory=DrillPlan)
+    drills: FaultPlan = field(default_factory=FaultPlan)
+    drill_slow: float = 0.05
     clock: Callable[[], float] = time.monotonic
     trace_ring: int = 256
     trace_sample: float = 1.0
@@ -384,7 +388,6 @@ class BenchServer:
             registry = obs.metrics()
             registry.inc(f"serve.requests.{endpoint}")
             registry.inc(f"serve.status.{response.status}")
-            registry.observe(f"serve.latency.{endpoint}", latency)
             registry.set_gauge("serve.queue_depth", self.gate.depth)
             self._log.info(
                 "serve.access",
@@ -481,8 +484,6 @@ class BenchServer:
         """Prometheus text exposition: obs registry + the always-on plane."""
         snapshot = obs.metrics().snapshot()
         for endpoint, window in sorted(self._latency.items()):
-            # Distinct name from the gated serve.latency.* histograms so
-            # the exposition never carries one name with two TYPEs.
             snapshot["windows"][
                 f"serve.latency.window.{endpoint}"
             ] = window.snapshot()
@@ -702,11 +703,12 @@ class BenchServer:
         try:
             await self.gate.acquire(deadline)
             admitted = True
-            delay = self.config.drills.delay_for(endpoint, index)
-            if delay > 0.0:
+            drills, delay = self.config.drills, self.config.drill_slow
+            if delay > 0.0 and drills.fires("slow", endpoint, index):
                 await asyncio.sleep(min(delay, max(deadline.remaining(), 0.0)))
             deadline.check(endpoint)
-            self.config.drills.check(endpoint, index)
+            if drills.fires("error", endpoint, index):
+                raise InjectedServeFault(endpoint, index)
             result = await work()
             deadline.check(endpoint)
         except Overloaded as exc:

@@ -1,7 +1,11 @@
 """CLI integration tests (tiny budgets, real artefacts)."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,3 +213,41 @@ class TestCollect:
         )
         assert code == 1
         assert "failed" in capsys.readouterr().out
+
+
+class TestNamedFailures:
+    """Bad input to the CLI ends in one named line, never a traceback."""
+
+    @pytest.mark.parametrize("spec", ["meltdown:1", "slow:1", "nan:often"])
+    def test_bad_fault_spec_names_the_flag(self, tmp_path, spec):
+        with pytest.raises(SystemExit) as err:
+            main(["collect", "--out-dir", str(tmp_path), "--num-archs", "4",
+                  "--faults", spec])
+        message = str(err.value.code)
+        assert message.startswith("--faults: ") and "\n" not in message
+
+    @pytest.mark.parametrize("spec", ["crash:1", "error:often"])
+    def test_bad_drill_spec_names_the_flag(self, tmp_path, spec):
+        with pytest.raises(SystemExit) as err:
+            main(["serve", "--bench", str(tmp_path / "missing.store"),
+                  "--drills", spec])
+        message = str(err.value.code)
+        assert message.startswith("--drills: ") and "\n" not in message
+
+    def test_serve_missing_bench_exits_with_clean_message(self, tmp_path):
+        missing = tmp_path / "missing.store"
+        with pytest.raises(SystemExit) as err:
+            main(["serve", "--bench", str(missing)])
+        assert str(err.value.code).startswith("cannot load benchmark: ")
+
+        import repro
+
+        src = Path(repro.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve", "--bench", str(missing)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "cannot load benchmark" in proc.stderr
+        assert "Traceback" not in proc.stderr + proc.stdout

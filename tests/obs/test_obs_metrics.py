@@ -5,11 +5,8 @@ import threading
 
 import pytest
 
-from repro.obs.metrics import (
-    DEFAULT_SECONDS_BUCKETS,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.metrics import DEFAULT_SECONDS_BUCKETS, MetricsRegistry
+from repro.obs.sketch import QuantileSketch
 from repro.obs.validate import SchemaError, validate_metrics_file
 
 
@@ -35,7 +32,7 @@ def test_gauge_last_write_wins():
 
 
 def test_histogram_buckets():
-    hist = Histogram((0.1, 1.0))
+    hist = QuantileSketch((0.1, 1.0))
     for value in (0.05, 0.5, 0.7, 5.0):
         hist.observe(value)
     d = hist.as_dict()
@@ -46,9 +43,9 @@ def test_histogram_buckets():
 
 def test_histogram_rejects_bad_bounds():
     with pytest.raises(ValueError):
-        Histogram(())
-    with pytest.raises(ValueError, match="sorted"):
-        Histogram((1.0, 0.5))
+        QuantileSketch(())
+    with pytest.raises(ValueError, match="ascending"):
+        QuantileSketch((1.0, 0.5))
 
 
 def test_observe_creates_histogram_with_default_buckets():
@@ -122,3 +119,32 @@ def test_validate_rejects_corrupt_export(tmp_path):
     )
     with pytest.raises(SchemaError, match="value"):
         validate_metrics_file(path)
+
+
+# Histogram records exported by the registry, recorded byte for byte before
+# the histogram and the windowed sketch were merged into one cell type.
+HISTOGRAM_RECORDS = [
+    '{"bounds": [0.0, 1.0, 2.0], "bucket_counts": [2, 2, 3, 2], "count": 9, '
+    '"kind": "histogram", "name": "fit.custom", "sum": NaN}',
+    '{"bounds": [0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 60.0], '
+    '"bucket_counts": [2, 1, 1, 1, 0, 0, 1, 1, 0, 1, 2], "count": 10, '
+    '"kind": "histogram", "name": "fit.default", "sum": NaN}',
+    '{"bounds": [0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 60.0], '
+    '"bucket_counts": [0, 1, 0, 0, 1, 2, 0, 0, 0, 0, 0], "count": 4, '
+    '"kind": "histogram", "name": "fit.finite", "sum": 0.6040000000000001}',
+    '{"bounds": [5.0], "bucket_counts": [0, 1], "count": 1, '
+    '"kind": "histogram", "name": "fit.single", "sum": 7.0}',
+]
+
+
+def test_histogram_export_bytes_are_pinned():
+    reg = MetricsRegistry()
+    for v in (0.0004, 0.001, 0.0025, 0.05, 0.7, 3.0, 60.0, 75.5, float("nan"), 0.01):
+        reg.observe("fit.default", v)
+    for v in (-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.0, 9.0, float("nan")):
+        reg.observe("fit.custom", v, buckets=(0.0, 1.0, 2.0))
+    for v in (0.1, 0.2, 0.3, 0.004):
+        reg.observe("fit.finite", v)
+    reg.observe("fit.single", 7, buckets=(5,))
+    lines = [line for line in reg.export_lines() if '"histogram"' in line]
+    assert lines == HISTOGRAM_RECORDS

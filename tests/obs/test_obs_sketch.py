@@ -1,12 +1,12 @@
-"""P² streaming quantile sketches: exactness, accuracy, determinism."""
+"""Histogram quantile sketches: cells, interpolation, merge, determinism."""
 
 import random
 
 import pytest
 
 from repro.obs.sketch import (
+    DEFAULT_LATENCY_BOUNDS,
     DEFAULT_QUANTILES,
-    P2Quantile,
     QuantileSketch,
     quantile_key,
 )
@@ -28,42 +28,33 @@ def test_quantile_key_spellings():
     assert quantile_key(0.999) == "p99.9"
 
 
-def test_p2_rejects_out_of_range_quantile():
+def test_sketch_rejects_out_of_range_quantile():
     for bad in (0.0, 1.0, -0.1, 2.0):
         with pytest.raises(ValueError, match=r"\(0, 1\)"):
-            P2Quantile(bad)
+            QuantileSketch(quantiles=(bad,))
 
 
 def test_empty_estimator_returns_none():
-    assert P2Quantile(0.5).value() is None
-
-
-def test_exact_while_five_or_fewer_observations():
-    est = P2Quantile(0.5)
-    seen = []
-    for value in (9.0, 1.0, 5.0, 3.0, 7.0):
-        est.observe(value)
-        seen.append(value)
-        assert est.value() == pytest.approx(exact_quantile(seen, 0.5))
+    assert QuantileSketch().quantile(0.5) is None
 
 
 def test_median_converges_on_uniform_stream():
     rng = random.Random(7)
     values = [rng.random() for _ in range(5000)]
-    est = P2Quantile(0.5)
+    sketch = QuantileSketch()
     for v in values:
-        est.observe(v)
-    assert est.value() == pytest.approx(exact_quantile(values, 0.5), abs=0.02)
+        sketch.observe(v)
+    assert sketch.quantile(0.5) == pytest.approx(exact_quantile(values, 0.5), abs=0.02)
 
 
 def test_p99_converges_on_skewed_stream():
     rng = random.Random(11)
     values = [rng.expovariate(10.0) for _ in range(8000)]
-    est = P2Quantile(0.99)
+    sketch = QuantileSketch()
     for v in values:
-        est.observe(v)
+        sketch.observe(v)
     exact = exact_quantile(values, 0.99)
-    assert est.value() == pytest.approx(exact, rel=0.15)
+    assert sketch.quantile(0.99) == pytest.approx(exact, rel=0.15)
 
 
 def test_estimate_is_deterministic_function_of_sequence():
@@ -71,23 +62,43 @@ def test_estimate_is_deterministic_function_of_sequence():
     values = [rng.random() for _ in range(500)]
 
     def run():
-        est = P2Quantile(0.95)
+        sketch = QuantileSketch()
         for v in values:
-            est.observe(v)
-        return est.value()
+            sketch.observe(v)
+        return sketch.snapshot()
 
     assert run() == run()
 
 
 def test_as_dict_shape():
-    est = P2Quantile(0.95)
-    est.observe(2.0)
-    assert est.as_dict() == {"q": 0.95, "count": 1, "value": 2.0}
+    sketch = QuantileSketch((0.1, 1.0))
+    for value in (0.05, 0.1, 0.5, 5.0, float("nan")):
+        sketch.observe(value)
+    d = sketch.as_dict()
+    assert list(d) == ["bounds", "bucket_counts", "count", "sum"]
+    # Upper edges are inclusive; above the last edge, and NaN, overflow.
+    assert d["bounds"] == [0.1, 1.0]
+    assert d["bucket_counts"] == [2, 1, 2]
+    assert d["count"] == 5
+
+
+def test_merge_adds_cells_and_extremes():
+    a, b, both = QuantileSketch(), QuantileSketch(), QuantileSketch()
+    for i, v in enumerate((0.003, 0.2, 0.04, 1.5, 0.0001, 0.07)):
+        (a if i % 2 else b).observe(v)
+        both.observe(v)
+    a.merge(b)
+    assert a.counts == both.counts
+    assert (a.count, a.min, a.max) == (both.count, both.min, both.max)
+    assert a.snapshot()["quantiles"] == both.snapshot()["quantiles"]
+    with pytest.raises(ValueError, match="different bounds"):
+        a.merge(QuantileSketch((1.0,)))
 
 
 def test_sketch_defaults_and_snapshot():
     sketch = QuantileSketch()
     assert sketch.quantiles == DEFAULT_QUANTILES
+    assert sketch.bounds == DEFAULT_LATENCY_BOUNDS
     for v in (0.2, 0.4, 0.6):
         sketch.observe(v)
     snap = sketch.snapshot()
@@ -96,7 +107,9 @@ def test_sketch_defaults_and_snapshot():
     assert snap["min"] == 0.2
     assert snap["max"] == 0.6
     assert set(snap["quantiles"]) == {"p50", "p95", "p99"}
-    assert snap["quantiles"]["p50"] == pytest.approx(0.4)
+    # Interpolated, not the exact order statistic: rank 1.5 of 3 sits
+    # halfway through the (0.25, 0.4] cell that holds 0.4.
+    assert snap["quantiles"]["p50"] == pytest.approx(0.325)
 
 
 def test_sketch_empty_snapshot_uses_nulls():
@@ -108,17 +121,22 @@ def test_sketch_empty_snapshot_uses_nulls():
 
 
 def test_sketch_quantile_lookup():
-    sketch = QuantileSketch((0.5, 0.9))
-    sketch.observe(1.0)
-    assert sketch.quantile(0.5) == 1.0
-    with pytest.raises(KeyError, match="not tracked"):
-        sketch.quantile(0.99)
+    sketch = QuantileSketch((1.0, 2.0, 4.0), quantiles=(0.5, 0.9))
+    for v in (0.5, 1.5, 1.5, 3.0):
+        sketch.observe(v)
+    # Rank 2 of 4 is halfway through the two values in the (1, 2] cell;
+    # any q reads, tracked or not.
+    assert sketch.quantile(0.5) == 1.5
+    assert sketch.quantile(0.25) == 1.0
+    assert sketch.quantile(0.99) == 3.0  # clamped to the observed max
 
 
 def test_sketch_rejects_bad_quantile_lists():
     with pytest.raises(ValueError, match="at least one"):
-        QuantileSketch(())
+        QuantileSketch(quantiles=())
     with pytest.raises(ValueError, match="ascending"):
-        QuantileSketch((0.9, 0.5))
+        QuantileSketch(quantiles=(0.9, 0.5))
     with pytest.raises(ValueError, match="ascending"):
-        QuantileSketch((0.5, 0.5))
+        QuantileSketch(quantiles=(0.5, 0.5))
+    with pytest.raises(ValueError, match="bounds"):
+        QuantileSketch(bounds=(1.0, 1.0))

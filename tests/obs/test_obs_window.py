@@ -134,3 +134,16 @@ def test_ring_counter_validation():
         RingCounter(windows=())
     with pytest.raises(ValueError, match="multiple"):
         RingCounter(windows=(8.0,), bucket_seconds=5.0)
+
+
+def test_cumulative_matches_window_spanning_several_buckets(clock):
+    wq = WindowedQuantiles(windows=(60.0,), bucket_seconds=5.0)
+    values = [0.0003, 0.02, 0.004, 1.7, 0.09, 0.015, 0.6, 0.0021, 0.33]
+    for i, v in enumerate(values):
+        clock.now = 7.0 * i  # nine observations over eight ring buckets
+        wq.observe(v)
+    snap = wq.snapshot()
+    window = snap["windows"]["1m"]
+    for key in ("count", "min", "max", "quantiles"):
+        assert snap[key] == window[key], key
+    assert snap["count"] == len(values)

@@ -78,6 +78,18 @@ class TestReadRequest:
             parse(raw)
         assert err.value.status == 431
 
+    def test_overlong_request_line_is_431(self):
+        raw = b"GET /" + b"a" * (100 * 1024) + b" HTTP/1.1\r\n\r\n"
+        with pytest.raises(ProtocolError) as err:
+            parse(raw)
+        assert err.value.status == 431
+
+    def test_overlong_header_line_is_431(self):
+        raw = b"GET / HTTP/1.1\r\nX-Pad: " + b"a" * (100 * 1024) + b"\r\n\r\n"
+        with pytest.raises(ProtocolError) as err:
+            parse(raw)
+        assert err.value.status == 431
+
     def test_chunked_encoding_is_501(self):
         with pytest.raises(ProtocolError) as err:
             parse(b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n")

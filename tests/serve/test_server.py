@@ -10,12 +10,11 @@ import pytest
 
 import repro.obs as obs
 from repro.core.benchmark import AccelNASBench
-from repro.core.reliability import RetryPolicy
+from repro.core.reliability import SERVE_FAULT_KINDS, FaultPlan, RetryPolicy
 from repro.searchspace import ArchSpec
 from repro.serve import (
     BenchServer,
     ClientConnection,
-    DrillPlan,
     ServerConfig,
     truncate_shard,
 )
@@ -248,6 +247,36 @@ class TestInputValidation:
         assert good[0] == 200
         assert good[1] == alone[1]
 
+    def test_overlong_header_line_is_431_then_serving_continues(
+        self, serve_bench, arch_strings
+    ):
+        async def main():
+            server, task = await start_server(serve_bench)
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                writer.write(
+                    b"GET /healthz HTTP/1.1\r\nX-Pad: "
+                    + b"a" * (100 * 1024)
+                    + b"\r\n\r\n"
+                )
+                await writer.drain()
+                status, headers, _ = await _read_response(reader)
+                writer.close()
+                async with ClientConnection("127.0.0.1", server.port) as conn:
+                    after, _, _ = await conn.request(
+                        "POST", "/query", {"arch": arch_strings[0]}
+                    )
+            finally:
+                await stop_server(server, task)
+            return status, headers, after
+
+        status, headers, after = run(main())
+        assert status == 431
+        assert headers["connection"] == "close"
+        assert after == 200
+
     def test_unknown_endpoint_and_method(self, serve_bench):
         async def main():
             server, task = await start_server(serve_bench)
@@ -282,10 +311,12 @@ class TestInputValidation:
 
 class TestRobustness:
     def test_deadline_expiry_is_504(self, serve_bench, arch_strings):
-        drills = DrillPlan.from_string("slow:1.0@1", slow_seconds=0.2)
+        drills = FaultPlan.from_string("slow:1.0@1", kinds=SERVE_FAULT_KINDS)
 
         async def main():
-            server, task = await start_server(serve_bench, drills=drills)
+            server, task = await start_server(
+                serve_bench, drills=drills, drill_slow=0.2
+            )
             try:
                 async with ClientConnection("127.0.0.1", server.port) as conn:
                     slow, _, body = await conn.request(
@@ -308,7 +339,7 @@ class TestRobustness:
         assert after == 200  # drill healed, service recovered
 
     def test_overload_sheds_429_with_retry_after(self, serve_bench, arch_strings):
-        drills = DrillPlan.from_string("slow:1.0@2", slow_seconds=0.4)
+        drills = FaultPlan.from_string("slow:1.0@2", kinds=SERVE_FAULT_KINDS)
 
         async def main():
             server, task = await start_server(
@@ -317,6 +348,7 @@ class TestRobustness:
                 max_queue=0,
                 retry_after=2.0,
                 drills=drills,
+                drill_slow=0.4,
             )
             try:
                 first = ClientConnection("127.0.0.1", server.port)
@@ -344,7 +376,7 @@ class TestRobustness:
         assert ok_status == 200  # the admitted request still completed
 
     def test_breaker_trips_then_recovers(self, serve_bench, arch_strings):
-        drills = DrillPlan.from_string("error:1.0@2")
+        drills = FaultPlan.from_string("error:1.0@2", kinds=SERVE_FAULT_KINDS)
         recovery = RetryPolicy(base_delay=0.05, backoff=2.0, jitter=0.0)
 
         async def main():
@@ -383,10 +415,12 @@ class TestRobustness:
         assert closed == "closed"
 
     def test_graceful_drain_finishes_inflight(self, serve_bench, arch_strings):
-        drills = DrillPlan.from_string("slow:1.0@1", slow_seconds=0.3)
+        drills = FaultPlan.from_string("slow:1.0@1", kinds=SERVE_FAULT_KINDS)
 
         async def main():
-            server, task = await start_server(serve_bench, drills=drills)
+            server, task = await start_server(
+                serve_bench, drills=drills, drill_slow=0.3
+            )
             conn = ClientConnection("127.0.0.1", server.port)
             inflight = asyncio.create_task(
                 conn.request(
